@@ -32,9 +32,3 @@ def vcoda_star(store: TrajectoryStore, m: int, k: int, eps: float) -> list[Convo
     """VCoDA with grid-indexed clustering (the paper's VCoDA*)."""
     return vcoda(store, m, k, eps, mode="grid")
 
-
-def pccd_prevalidation_count(
-    store: TrajectoryStore, m: int, k: int, eps: float
-) -> int:
-    """Size of VCoDA's pre-validation convoy set (Fig. 8j comparator)."""
-    return len(pccd(store, m, k, eps))

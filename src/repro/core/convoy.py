@@ -9,12 +9,14 @@ helper, implemented here as :func:`update` / :func:`antichain`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class Convoy:
-    """An (object set, lifespan) pair. Immutable and hashable."""
+    """An (object set, lifespan) pair. Immutable, hashable, totally ordered."""
 
     ts: int
     te: int
@@ -23,6 +25,14 @@ class Convoy:
     def __post_init__(self) -> None:
         if self.ts > self.te:
             raise ValueError(f"empty lifespan [{self.ts}, {self.te}]")
+
+    def __lt__(self, other: "Convoy") -> bool:
+        # By lifespan, then by sorted members: frozenset's own < is the
+        # partial subset order, which would leave sorted() lists of
+        # convoys in input order.
+        return (self.ts, self.te, sorted(self.objs)) < (
+            other.ts, other.te, sorted(other.objs)
+        )
 
     @property
     def length(self) -> int:

@@ -1,43 +1,48 @@
-"""k/2-hop as a Spark DataFrame dataflow — the paper's "parallelize with
-Apache Spark" future work, realized.
+"""k/2-hop on Spark: an executor of the phase sequence in ``core/k2hop.py``.
 
-The distributed structure follows the repro mapping (scan/filter/groupBy
-over trajectory data partitioned by key timestamps):
+:func:`repro.core.k2hop.run_phases` owns the phase order; this module
+supplies the Spark versions of the three pieces it takes, following the
+repro mapping (scan/filter/groupBy over trajectory data partitioned by
+key timestamps):
 
 1. **Benchmark clustering** — ``df.filter(t ∈ B)`` (a Catalyst scan of
    ~2·|DB|/k of the data) then per-snapshot DBSCAN via
    ``groupBy("t").applyInPandas``.
-2. **Candidate clusters** — the benchmark cluster sets are tiny (convoys
-   are rare), so the set-wise intersections run on the driver.
-3. **Pruned hop-window read** — a (window, oid) candidate table is
-   joined against the trajectory table (``oid`` equi-join + timestamp
-   range predicate), which is exactly the "prune objects with map/
-   filter" step: Catalyst plans a shuffle join that touches only
-   candidate objects inside their windows.
-4. **HWMT fan-out** — ``groupBy(window).applyInPandas`` runs the
-   sequential HWMT per window (windows are independent, the property
-   the paper highlights for distribution).
-5. **Merge / extend / validate** — driver-side over a second pruned
-   read restricted to the objects of the maximal spanning convoys.
+2. **HWMT fan-out** — a (window, group, oid) candidate table is joined
+   against the trajectory table (``oid`` equi-join + timestamp range
+   predicate), which is exactly the "prune objects with map/filter"
+   step: Catalyst plans a shuffle join that touches only candidate
+   objects inside their windows. ``groupBy(window).applyInPandas`` then
+   runs the sequential HWMT per window (windows are independent, the
+   property the paper highlights for distribution).
+3. **Extension store** — a second pruned read, restricted to the objects
+   of the maximal spanning convoys, collected into a driver-side
+   :class:`FileStore`.
+
+The candidate step, merge, extension and validation run on the driver in
+the shared sequence: the candidate and convoy sets are tiny (convoys are
+rare).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
-from repro.core.benchmarks import benchmark_points, candidate_clusters, hop_windows
 from repro.core.convoy import Convoy
-from repro.core.extend import extend
 from repro.core.hwmt import hwmt
-from repro.core.merge import dcm_merge
+from repro.core.k2hop import K2HopResult, run_phases
 from repro.core.spark_cluster import collect_cluster_sets, snapshot_clusters
-from repro.core.validate import validate
 from repro.stores import FileStore
+from repro.stores.base import COLUMNS
+
+# Unused here; bound so perfbench/tracing.py's by-name hooks still resolve.
+from repro.core.extend import extend  # noqa: F401
+from repro.core.merge import dcm_merge  # noqa: F401
+from repro.core.validate import validate  # noqa: F401
 
 SPANNING_SCHEMA = StructType(
     [
@@ -48,119 +53,98 @@ SPANNING_SCHEMA = StructType(
     ]
 )
 
-
-@dataclass
-class K2HopSparkResult:
-    convoys: list[Convoy]
-    points_total: int
-    points_scanned: int
-    n_spanning: int
-    n_maximal_spanning: int
-
-    @property
-    def pruning_pct(self) -> float:
-        if not self.points_total:
-            return 0.0
-        return 100.0 * (1.0 - self.points_scanned / self.points_total)
+_NO_POINTS = FileStore(pd.DataFrame(columns=COLUMNS))
 
 
 def k2hop_spark(
     spark: SparkSession, df: DataFrame, m: int, k: int, eps: float
-) -> K2HopSparkResult:
+) -> K2HopResult:
     """Distributed k/2-hop over a (t, oid, x, y) DataFrame."""
-    df = df.select("t", "oid", "x", "y")
-    total = df.count()
-    ts, te = df.agg(F.min("t"), F.max("t")).first()
-    bpts = benchmark_points(int(ts), int(te), k)
+    df = df.select(*COLUMNS)
+    total, ts, te = df.agg(F.count(F.lit(1)), F.min("t"), F.max("t")).first()
+    # An empty frame has no min/max; (0, -1) is the stores' empty span.
+    time_range = (int(ts), int(te)) if total else (0, -1)
+    read: list[int] = []  # rows each Spark read below counted or collected
 
-    # --- 1. benchmark snapshots: distributed scan + per-t clustering.
-    bench_df = df.filter(F.col("t").isin([int(b) for b in bpts]))
-    n_bench = bench_df.count()
-    csets = collect_cluster_sets(snapshot_clusters(bench_df, m, eps))
+    def cluster_snapshots(bpts: list[int]) -> dict[int, list[frozenset[int]]]:
+        """Benchmark snapshots: distributed scan + per-t clustering."""
+        bench_df = df.filter(F.col("t").isin([int(b) for b in bpts]))
+        read.append(bench_df.count())
+        found = collect_cluster_sets(snapshot_clusters(bench_df, m, eps))
+        return {b: found.get(b, []) for b in bpts}
 
-    # --- 2. candidate clusters per hop-window (driver; tiny).
-    windows = hop_windows(bpts)
-    ccs = {
-        i: candidate_clusters(csets.get(a, []), csets.get(b, []), m)
-        for i, (a, b) in enumerate(windows)
-    }
-
-    # --- 3. pruned read: candidate (window, group, oid) join.
-    cand_rows = [
-        (i, gi, int(oid), int(windows[i][0]), int(windows[i][1]))
-        for i, cc in ccs.items()
-        for gi, group in enumerate(cc)
-        for oid in group
-    ]
-    spanning_rows: list = []
-    n_window_points = 0
-    if cand_rows:
-        cand = spark.createDataFrame(
-            pd.DataFrame(
-                cand_rows, columns=["window", "grp", "oid", "w_lo", "w_hi"]
+    def mine_windows(
+        windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]]
+    ) -> list[list[Convoy]]:
+        """HWMT per hop-window over the pruned (window, grp, oid) join."""
+        cand_rows = [
+            (i, gi, int(oid), int(lo), int(hi))
+            for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))
+            for gi, group in enumerate(cc)
+            for oid in group
+        ]
+        found: dict[int, list[Convoy]] = {}
+        if cand_rows:
+            cand = spark.createDataFrame(
+                pd.DataFrame(
+                    cand_rows, columns=["window", "grp", "oid", "w_lo", "w_hi"]
+                )
             )
-        )
-        pruned = df.join(cand, on="oid").where(
-            (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
-        )
-        n_window_points = pruned.count()
-
-        def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
-            w = int(pdf["window"].iloc[0])
-            lo, hi = int(pdf["w_lo"].iloc[0]), int(pdf["w_hi"].iloc[0])
-            cc = [
-                frozenset(int(o) for o in grp["oid"].unique())
-                for _, grp in pdf.groupby("grp")
-            ]
-            store = FileStore(pdf[["t", "oid", "x", "y"]].drop_duplicates(["t", "oid"]))
-            found = hwmt(store, (lo, hi), cc, m, eps)
-            return pd.DataFrame(
-                [
-                    (w, v.ts, v.te, json.dumps(sorted(v.objs)))
-                    for v in found
-                ],
-                columns=["window", "ts", "te", "objs"],
+            pruned = df.join(cand, on="oid").where(
+                (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
             )
+            read.append(pruned.count())
 
-        spanning_rows = (
-            pruned.groupBy("window")
-            .applyInPandas(_mine, SPANNING_SCHEMA)
-            .collect()
-        )
+            def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
+                w = int(pdf["window"].iloc[0])
+                lo, hi = int(pdf["w_lo"].iloc[0]), int(pdf["w_hi"].iloc[0])
+                cc = [
+                    frozenset(int(o) for o in grp["oid"].unique())
+                    for _, grp in pdf.groupby("grp")
+                ]
+                store = FileStore(pdf[COLUMNS].drop_duplicates(["t", "oid"]))
+                spanning = hwmt(store, (lo, hi), cc, m, eps)
+                return pd.DataFrame(
+                    [
+                        (w, v.ts, v.te, json.dumps(sorted(v.objs)))
+                        for v in spanning
+                    ],
+                    columns=["window", "ts", "te", "objs"],
+                )
 
-    # Windows with an empty interior (k = 2, 3) span by definition.
-    per_window: dict[int, list[Convoy]] = {i: [] for i in ccs}
-    for i, (a, b) in enumerate(windows):
-        if b - a <= 1:
-            per_window[i] = [Convoy(ts=a, te=b, objs=g) for g in ccs[i]]
-    for row in spanning_rows:
-        per_window[int(row["window"])].append(
-            Convoy(
-                ts=int(row["ts"]),
-                te=int(row["te"]),
-                objs=frozenset(json.loads(row["objs"])),
+            rows = (
+                pruned.groupBy("window")
+                .applyInPandas(_mine, SPANNING_SCHEMA)
+                .collect()
             )
-        )
-    n_spanning = sum(len(v) for v in per_window.values())
+            for row in rows:
+                found.setdefault(int(row["window"]), []).append(
+                    Convoy(
+                        ts=int(row["ts"]),
+                        te=int(row["te"]),
+                        objs=frozenset(json.loads(row["objs"])),
+                    )
+                )
+        # A window without result rows either lost its convoys or had no
+        # candidate point inside. HWMT over no points says which: nothing,
+        # unless the window has no interior and its candidates span it.
+        return [
+            found.get(i) or hwmt(_NO_POINTS, w, cc, m, eps)
+            for i, (w, cc) in enumerate(zip(windows, ccs))
+        ]
 
-    # --- 4. merge (driver).
-    merged = dcm_merge([per_window[i] for i in sorted(per_window)], m)
-
-    # --- 5. extend + validate over a pruned per-object read.
-    convoys: list[Convoy] = []
-    n_ext_points = 0
-    if merged:
+    def extension_store(merged: list[Convoy]) -> FileStore:
+        """Whole trajectories of the maximal spanning convoys' objects."""
+        if not merged:
+            return _NO_POINTS  # nothing to extend or validate
         objs = sorted({int(o) for v in merged for o in v.objs})
         ext_pdf = df.filter(F.col("oid").isin(objs)).toPandas()
-        n_ext_points = len(ext_pdf)
-        store = FileStore(ext_pdf, time_range=(int(ts), int(te)))
-        extended = extend(store, merged, m, k, eps)
-        convoys = validate(store, extended, m, k, eps)
+        read.append(len(ext_pdf))
+        return FileStore(ext_pdf, time_range=time_range)
 
-    return K2HopSparkResult(
-        convoys=convoys,
-        points_total=total,
-        points_scanned=n_bench + n_window_points + n_ext_points,
-        n_spanning=n_spanning,
-        n_maximal_spanning=len(merged),
+    res = run_phases(
+        time_range, cluster_snapshots, mine_windows, extension_store, m, k, eps
     )
+    res.points_processed = sum(read)
+    res.pruning_pct = 100.0 * (1.0 - res.points_processed / total) if total else 0.0
+    return res

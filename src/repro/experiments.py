@@ -96,10 +96,14 @@ def run_k2hop(
     the store once; queries with different m/k/eps reuse it — k/2-hop's
     design requirement (6) in §5).
     """
-    store = MeteredStore(make_store(store_kind, df))
-    t0 = time.perf_counter()
-    res = k2hop(store, m, k, eps)
-    return time.perf_counter() - t0, res
+    store = make_store(store_kind, df)
+    try:
+        t0 = time.perf_counter()
+        res = k2hop(MeteredStore(store), m, k, eps)
+        return time.perf_counter() - t0, res
+    finally:
+        if hasattr(store, "close"):  # a FileStore holds nothing to release
+            store.close()
 
 
 def run_vcoda(
@@ -109,13 +113,6 @@ def run_vcoda(
     store = FileStore(df)
     t0 = time.perf_counter()
     out = (vcoda_star if star else vcoda)(store, m, k, eps)
-    return time.perf_counter() - t0, out
-
-
-def run_pccd(df: pd.DataFrame, m: int, k: int, eps: float) -> tuple[float, list]:
-    store = FileStore(df)
-    t0 = time.perf_counter()
-    out = pccd(store, m, k, eps)
     return time.perf_counter() - t0, out
 
 

@@ -34,12 +34,6 @@ _DTYPE = np.dtype([("t", "<i8"), ("oid", "<i8"), ("x", "<f8"), ("y", "<f8")])
 _EMPTY = np.empty(0, dtype=_DTYPE)
 
 
-def _keyvals(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return rec["oid"].astype(np.int64), np.column_stack(
-        [rec["x"], rec["y"]]
-    ).astype(np.float64).reshape(-1, 2)
-
-
 class LSMTStore:
     """LSM-tree keyed by (t, oid) over the local filesystem."""
 
@@ -51,6 +45,7 @@ class LSMTStore:
         memtable_limit: int = 64_000,
         max_runs: int = 6,
     ):
+        self._tmp = None
         if directory is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="k2lsmt-")
             directory = self._tmp.name
@@ -183,3 +178,9 @@ class LSMTStore:
     @property
     def n_runs(self) -> int:
         return len(self._runs)
+
+    def close(self) -> None:
+        """Delete the store's own temporary directory; a directory the
+        caller passed in is left as it is."""
+        if self._tmp is not None:
+            self._tmp.cleanup()

@@ -26,10 +26,11 @@ class RDBMSStore:
 
     def __init__(self, df: pd.DataFrame, *, path: str | None = None):
         df = validate_frame(df)  # sorted by (t, oid) → clustered layout
+        self._tmp = None
         if path is None:
             # Keep the database on disk so the RDBMS variant actually
-            # pays I/O, as in the paper; the tempdir lives as long as
-            # the store object.
+            # pays I/O, as in the paper; the tempdir lives until close()
+            # or until the store object is collected.
             self._tmp = tempfile.TemporaryDirectory(prefix="k2rdbms-")
             path = str(Path(self._tmp.name) / "traj.duckdb")
         self._con = duckdb.connect(path)
@@ -76,4 +77,8 @@ class RDBMSStore:
         return self._n
 
     def close(self) -> None:
+        """Close the connection and delete the store's own temporary
+        directory; a database path the caller passed in is kept."""
         self._con.close()
+        if self._tmp is not None:
+            self._tmp.cleanup()

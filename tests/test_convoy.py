@@ -24,6 +24,12 @@ class TestConvoy:
         assert convoy([1, 2], 0, 3) == convoy([2, 1], 0, 3)
         assert len({convoy([1, 2], 0, 3), convoy([1, 2], 0, 3)}) == 1
 
+    def test_sort_order_is_total(self):
+        # Same lifespan, object sets neither subset of the other.
+        a, b = convoy([0, 3], 2, 3), convoy([1, 2], 2, 3)
+        assert sorted([a, b]) == sorted([b, a]) == [a, b]
+        assert sorted([convoy([5], 1, 2), a]) == [convoy([5], 1, 2), a]
+
 
 class TestUpdate:
     def test_drops_incoming_sub_convoy(self):

@@ -12,14 +12,23 @@ from repro.testkit import EPS, scene_from_groups
 
 
 class TestK2HopSpark:
-    @pytest.mark.parametrize("k", [2, 4, 10])
-    def test_equals_sequential_on_scene(self, spark, k):
+    # k = 60 and 130 reach and pass the 60-step timeline; "empty" mines
+    # a frame with no rows.
+    @pytest.mark.parametrize(
+        "k, n_rows",
+        [pytest.param(k, None, id=str(k)) for k in (2, 4, 10, 60, 130)]
+        + [pytest.param(4, 0, id="empty")],
+    )
+    def test_equals_sequential_on_scene(self, spark, k, n_rows):
         df, _ = convoy_scene(
             n_objects=40, n_timestamps=60, n_convoys=2, convoy_size=4,
             convoy_len=20, eps=10.0, seed=17,
         )
+        df = df.iloc[:n_rows]
         seq = k2hop(FileStore(df), 3, k, 10.0).convoys
-        par = k2hop_spark(spark, spark.createDataFrame(df), 3, k, 10.0).convoys
+        # The schema is spelled out because Spark cannot infer it from no rows.
+        sdf = spark.createDataFrame(df, "t long, oid long, x double, y double")
+        par = k2hop_spark(spark, sdf, 3, k, 10.0).convoys
         assert par == seq
 
     def test_equals_sequential_with_dropout(self, spark):
@@ -39,7 +48,7 @@ class TestK2HopSpark:
         assert res.convoys == []
         assert res.n_spanning == 0
         # Only the benchmark snapshots were ever scanned.
-        assert res.points_scanned == res.points_total * len(range(0, 30, 4)) // 30
+        assert res.points_scanned == len(df) * len(range(0, 30, 4)) // 30
 
     def test_pruning_accounting(self, spark):
         df, _ = convoy_scene(
@@ -47,7 +56,7 @@ class TestK2HopSpark:
             convoy_len=40, eps=10.0, seed=31,
         )
         res = k2hop_spark(spark, spark.createDataFrame(df), 4, 30, 10.0)
-        assert 0 < res.points_scanned < res.points_total
+        assert 0 < res.points_scanned < len(df)
         assert res.pruning_pct > 50.0
 
 

@@ -159,6 +159,16 @@ class TestLSMTInternals:
             assert a.tolist() == b.tolist()
             np.testing.assert_allclose(ax, bx)
 
+    def test_close_removes_own_directory_only(self, tmp_path):
+        own = LSMTStore(DF, memtable_limit=8)
+        own_dir = own._dir
+        given = LSMTStore(DF, directory=str(tmp_path), memtable_limit=8)
+        assert own_dir.is_dir() and any(tmp_path.iterdir())
+        own.close()
+        given.close()
+        assert not own_dir.exists()
+        assert any(tmp_path.iterdir())
+
 
 class TestMeteredStore:
     def test_counts_by_phase(self):

@@ -9,8 +9,6 @@ from repro.stores import FileStore
 from repro.synth_data import (
     brinkhoff_like,
     convoy_scene,
-    lineitem,
-    orders,
     tdrive_like,
     trucks_like,
 )
@@ -144,10 +142,3 @@ class TestBrinkhoffLike:
                 assert len(oids) == len(objs)
                 assert meps_clusters(oids, xy, len(objs), 100.0)
 
-
-class TestTpchLiteStillWorks:
-    def test_lineitem_orders(self, spark):
-        li = lineitem(spark, sf=0.001)
-        o = orders(spark, sf=0.001)
-        assert li.count() == 6000
-        assert o.count() == 1500
