@@ -17,12 +17,10 @@ CMC). The tests cross-check it against PCCD.
 """
 from __future__ import annotations
 
-import json
-
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType, StringType, StructField, StructType
+from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core.clustering import meps_clusters
 from repro.core.convoy import Convoy, antichain
@@ -34,7 +32,7 @@ PART_SCHEMA = StructType(
         StructField("p", LongType()),
         StructField("ts", LongType()),
         StructField("te", LongType()),
-        StructField("objs", StringType()),
+        StructField("objs", ArrayType(LongType())),
     ]
 )
 
@@ -54,6 +52,8 @@ def dcm(
         part_len = 4 * k
     df = df.select("t", "oid", "x", "y")
     ts, te = df.agg(F.min("t"), F.max("t")).first()
+    if ts is None:  # no rows
+        return []
     ts, te = int(ts), int(te)
     L = int(part_len)
 
@@ -77,7 +77,7 @@ def dcm(
                 )
         found = sweep_maximal_convoys(seq(), m, k, edge_ts=(lo, hi))
         return pd.DataFrame(
-            [(p, v.ts, v.te, json.dumps(sorted(v.objs))) for v in found],
+            [(p, v.ts, v.te, sorted(v.objs)) for v in found],
             columns=["p", "ts", "te", "objs"],
         )
 
@@ -85,7 +85,7 @@ def dcm(
     per_part: dict[int, list[Convoy]] = {}
     for r in rows:
         per_part.setdefault(int(r["p"]), []).append(
-            Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(json.loads(r["objs"])))
+            Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(r["objs"]))
         )
     n_parts = (te - ts) // L + 1
     merged = dcm_merge([per_part.get(p, []) for p in range(n_parts)], m)

@@ -21,11 +21,9 @@ PCCD, and the benchmarks compare its runtime against k/2-hop (Fig 7d).
 """
 from __future__ import annotations
 
-import json
-
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import LongType, StringType, StructField, StructType
+from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core.convoy import Convoy, antichain
 from repro.core.spark_cluster import snapshot_clusters
@@ -42,7 +40,7 @@ CAND_SCHEMA = StructType(
     [
         StructField("ts", LongType()),
         StructField("te", LongType()),
-        StructField("objs", StringType()),
+        StructField("objs", ArrayType(LongType())),
     ]
 )
 
@@ -113,7 +111,7 @@ def _enumerate_star(pdf: pd.DataFrame, k: int, m: int) -> pd.DataFrame:
     dfs([], set(int(t) for t in pdf["t"].unique()), 0)
     keep = antichain(out)
     return pd.DataFrame(
-        [(v.ts, v.te, json.dumps(sorted(v.objs))) for v in keep],
+        [(v.ts, v.te, sorted(v.objs)) for v in keep],
         columns=["ts", "te", "objs"],
     )
 
@@ -129,7 +127,7 @@ def spare(
     )
     rows = cands.collect()
     out = [
-        Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(json.loads(r["objs"])))
+        Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(r["objs"]))
         for r in rows
     ]
     return sorted(antichain(out))

@@ -25,19 +25,19 @@ rare).
 """
 from __future__ import annotations
 
-import json
+import math
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType, StringType, StructField, StructType
+from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core.convoy import Convoy
 from repro.core.hwmt import hwmt
 from repro.core.k2hop import K2HopResult, run_phases
 from repro.core.spark_cluster import collect_cluster_sets, snapshot_clusters
 from repro.stores import FileStore
-from repro.stores.base import COLUMNS
+from repro.stores.base import COLUMNS, reject
 
 # Unused here; bound so perfbench/tracing.py's by-name hooks still resolve.
 from repro.core.extend import extend  # noqa: F401
@@ -49,7 +49,7 @@ SPANNING_SCHEMA = StructType(
         StructField("window", LongType()),
         StructField("ts", LongType()),
         StructField("te", LongType()),
-        StructField("objs", StringType()),  # JSON int list
+        StructField("objs", ArrayType(LongType())),
     ]
 )
 
@@ -61,7 +61,15 @@ def k2hop_spark(
 ) -> K2HopResult:
     """Distributed k/2-hop over a (t, oid, x, y) DataFrame."""
     df = df.select(*COLUMNS)
-    total, ts, te = df.agg(F.count(F.lit(1)), F.min("t"), F.max("t")).first()
+    # validate_frame's row checks ride along in the one aggregate (null
+    # and NaN fail every comparison, so they count as bad rows too).
+    # Duplicate (t, oid) keys are not checked: that needs a shuffle.
+    finite = [(F.col(c) > -math.inf) & (F.col(c) < math.inf) for c in ("x", "y")]
+    good = {"non-integral t": F.col("t") % 1 == 0, "non-finite x/y": finite[0] & finite[1]}
+    total, ts, te, *n_good = df.agg(
+        F.count(F.lit(1)), F.min("t"), F.max("t"), *[F.count(F.when(g, 1)) for g in good.values()]
+    ).first()
+    reject({what: f"{total - n} rows" for what, n in zip(good, n_good) if n < total})
     # An empty frame has no min/max; (0, -1) is the stores' empty span.
     time_range = (int(ts), int(te)) if total else (0, -1)
     read: list[int] = []  # rows each Spark read below counted or collected
@@ -106,7 +114,7 @@ def k2hop_spark(
                 spanning = hwmt(store, (lo, hi), cc, m, eps)
                 return pd.DataFrame(
                     [
-                        (w, v.ts, v.te, json.dumps(sorted(v.objs)))
+                        (w, v.ts, v.te, sorted(v.objs))
                         for v in spanning
                     ],
                     columns=["window", "ts", "te", "objs"],
@@ -122,7 +130,7 @@ def k2hop_spark(
                     Convoy(
                         ts=int(row["ts"]),
                         te=int(row["te"]),
-                        objs=frozenset(json.loads(row["objs"])),
+                        objs=frozenset(row["objs"]),
                     )
                 )
         # A window without result rows either lost its convoys or had no

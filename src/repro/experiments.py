@@ -83,7 +83,7 @@ def make_store(kind: str, df: pd.DataFrame):
     if kind == "rdbms":
         return RDBMSStore(df)
     if kind == "lsmt":
-        return LSMTStore(df, memtable_limit=64_000)
+        return LSMTStore(df)
     raise KeyError(kind)
 
 

@@ -3,6 +3,11 @@
 Movement data is the paper's 4-column relation ``<oid, x, y, t>`` with
 integer timestamps and integer object ids. A snapshot is all points at
 one timestamp.
+
+The in-memory and LSM-tree stores keep the relation as *runs*: record
+arrays sorted by the paper's §5.2 key ``(t, oid)``. A snapshot is then
+one binary-searched slice (:func:`read`), and runs written at different
+times combine by one newest-wins merge (:func:`merge`).
 """
 from __future__ import annotations
 
@@ -13,6 +18,10 @@ import pandas as pd
 
 #: canonical column order for trajectory frames across the repo
 COLUMNS = ["t", "oid", "x", "y"]
+
+#: one record of a run; its 32 bytes are the LSM-tree's SSTable layout
+#: ``t:int64, oid:int64, x:float64, y:float64``
+RECORD = np.dtype([("t", "<i8"), ("oid", "<i8"), ("xy", "<f8", (2,))])
 
 
 @runtime_checkable
@@ -36,17 +45,69 @@ class TrajectoryStore(Protocol):
         ...
 
 
-def validate_frame(df: pd.DataFrame) -> pd.DataFrame:
-    """Normalize a trajectory frame to canonical columns/dtypes.
+def reject(problems: dict[str, str]) -> None:
+    """Raise the one malformed-input error if ``problems`` (a problem →
+    the rows that have it) names any."""
+    if problems:
+        found = "; ".join(f"{what} at {rows}" for what, rows in problems.items())
+        raise ValueError(f"malformed trajectory frame: {found}")
 
-    Raises on duplicate (t, oid) pairs — a convoy dataset is a function
-    from (t, oid) to a location.
+
+def validate_frame(df: pd.DataFrame) -> pd.DataFrame:
+    """Normalize a trajectory frame to canonical columns/dtypes, sorted
+    by (t, oid).
+
+    Rejects non-integral ``t``, non-finite ``x``/``y`` and duplicate
+    (t, oid) pairs — a convoy dataset is a function from (t, oid) to a
+    location — counting the offending rows and naming the first ten by
+    their index labels.
     """
-    df = df[COLUMNS].copy()
-    df["t"] = df["t"].astype(np.int64)
-    df["oid"] = df["oid"].astype(np.int64)
-    df["x"] = df["x"].astype(np.float64)
-    df["y"] = df["y"].astype(np.float64)
-    if df.duplicated(["t", "oid"]).any():
-        raise ValueError("duplicate (t, oid) points in trajectory frame")
-    return df.sort_values(["t", "oid"], ignore_index=True)
+    df = df[COLUMNS].sort_values(["t", "oid"])
+    t, oid = df["t"].to_numpy(), df["oid"].to_numpy()
+    # Sorted, every duplicate key sits next to a twin: twin[i] says whether
+    # keys i - 1 and i are equal.
+    twin = np.zeros(len(df) + 1, dtype=bool)
+    twin[1:-1] = (t[1:] == t[:-1]) & (oid[1:] == oid[:-1])
+    bad = {
+        "non-integral t": t % 1 != 0,
+        "non-finite x/y": ~np.isfinite(df[["x", "y"]].to_numpy(np.float64)).all(axis=1),
+        "duplicate (t, oid)": twin[:-1] | twin[1:],
+    }
+    reject({
+        what: f"{rows.sum()} rows {df.index[rows][:10].tolist()}"
+        for what, rows in bad.items()
+        if rows.any()
+    })
+    df = df.astype({"t": np.int64, "oid": np.int64, "x": np.float64, "y": np.float64})
+    return df.reset_index(drop=True)
+
+
+def to_run(df: pd.DataFrame) -> np.ndarray:
+    """A :func:`validate_frame`-normalized frame (sorted, unique keys) as a run."""
+    run = np.empty(len(df), dtype=RECORD)
+    run["t"], run["oid"], run["xy"] = df["t"], df["oid"], df[["x", "y"]]
+    return run
+
+
+def read(run: np.ndarray, t: int, oids: Iterable[int] | None = None) -> np.ndarray:
+    """The records of ``run`` at timestamp ``t`` — one binary-searched
+    slice — optionally only those of ``oids``."""
+    lo, hi = np.searchsorted(run["t"], [t, t + 1])
+    seg = np.asarray(run[lo:hi])  # a plain view: memmap subclasses slow every later op
+    if oids is None or not len(seg):
+        return seg
+    return seg[np.isin(seg["oid"], np.fromiter(oids, dtype=np.int64))]
+
+
+def merge(runs: list[np.ndarray]) -> np.ndarray:
+    """One run from ``runs`` (oldest first): a stable sort by (t, oid)
+    that keeps the newest record of each key."""
+    runs = [r for r in runs if len(r)]
+    if len(runs) <= 1:  # nothing to merge: a run is sorted, one record per key
+        return runs[0] if runs else np.empty(0, dtype=RECORD)
+    rec = np.concatenate(runs)
+    rec = rec[np.lexsort((rec["oid"], rec["t"]))]
+    # After a stable sort the newest record of a key is its last one.
+    last = np.ones(len(rec), dtype=bool)
+    last[:-1] = (rec["t"][1:] != rec["t"][:-1]) | (rec["oid"][1:] != rec["oid"][:-1])
+    return rec[last]

@@ -1,9 +1,10 @@
 """In-memory flat-file store (the paper's ``k2-File`` variant).
 
-Models loading the whole flat file into memory once: snapshots are
-pre-bucketed per timestamp; point reads binary-search the per-snapshot
-oid array. Fast when the dataset fits in RAM, which is exactly the
-regime where the paper finds k2-File competitive (Trucks dataset).
+Models loading the whole flat file into memory once, as one run sorted
+by (t, oid) (:mod:`repro.stores.base`): a snapshot is one binary-searched
+slice, a point read filters it to the wanted oids. Fast when the dataset
+fits in RAM, which is exactly the regime where the paper finds k2-File
+competitive (Trucks dataset).
 """
 from __future__ import annotations
 
@@ -12,48 +13,30 @@ from typing import Iterable
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import validate_frame
-
-_EMPTY_OIDS = np.empty(0, dtype=np.int64)
-_EMPTY_XY = np.empty((0, 2), dtype=np.float64)
+from repro.stores.base import read, to_run, validate_frame
 
 
 class FileStore:
-    """Trajectory store over an in-memory pandas frame."""
+    """Trajectory store over one in-memory run."""
 
     def __init__(self, df: pd.DataFrame, *, time_range: tuple[int, int] | None = None):
         """``time_range`` overrides the (Ts, Te) derived from the rows —
         needed when the frame is a pruned slice of a larger dataset but
         algorithms must still see the full dataset's time span."""
-        df = validate_frame(df)
-        self._forced_range = time_range
-        self._n = len(df)
-        self._snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        t = df["t"].to_numpy()
-        oid = df["oid"].to_numpy()
-        xy = df[["x", "y"]].to_numpy()
-        # df is sorted by (t, oid): slice contiguous runs per timestamp,
-        # so each snapshot's oid array is sorted (searchsorted-ready).
-        bounds = np.flatnonzero(np.diff(t)) + 1
-        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(t)]):
-            if lo < hi:
-                self._snaps[int(t[lo])] = (oid[lo:hi], xy[lo:hi])
-        self._ts = int(t.min()) if self._n else 0
-        self._te = int(t.max()) if self._n else -1
+        self._run = to_run(validate_frame(df))
+        t = self._run["t"]
+        self._range = time_range or ((int(t[0]), int(t[-1])) if len(t) else (0, -1))
 
     def time_range(self) -> tuple[int, int]:
-        return self._forced_range if self._forced_range else (self._ts, self._te)
+        return self._range
 
     def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._snaps.get(int(t), (_EMPTY_OIDS, _EMPTY_XY))
+        run = read(self._run, t)
+        return run["oid"], run["xy"]
 
     def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        snap_oids, snap_xy = self.snapshot(t)
-        if not len(snap_oids):
-            return _EMPTY_OIDS, _EMPTY_XY
-        want = np.fromiter((int(o) for o in oids), dtype=np.int64)
-        hit = np.isin(snap_oids, want)
-        return snap_oids[hit], snap_xy[hit]
+        run = read(self._run, t, oids)
+        return run["oid"], run["xy"]
 
     def total_points(self) -> int:
-        return self._n
+        return len(self._run)

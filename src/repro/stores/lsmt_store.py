@@ -7,17 +7,19 @@ in sorted runs), and HWMT issues point/batch gets by ``(t, oid)``.
 
 This module implements that structure over the local filesystem:
 
-* **Memtable** — an in-memory dict of fresh inserts; flushed to a sorted
-  run when it exceeds ``memtable_limit`` entries.
-* **SSTable run** — an immutable file of fixed-width records sorted by
-  key; read back via ``np.memmap`` so reads actually touch the files.
-  Record layout: ``t:int64, oid:int64, x:float64, y:float64``.
+* **Memtable** — an in-memory dict of fresh ``put`` writes; flushed to a
+  sorted run when it reaches ``memtable_limit`` entries.
+* **SSTable** — an immutable file holding one run of
+  :mod:`repro.stores.base` (32-byte ``t, oid, x, y`` records sorted by
+  key), read back via ``np.memmap`` so reads actually touch the files.
+  ``put_frame`` writes memtable-sized runs straight from the sorted frame.
 * **Size-tiered compaction** — when more than ``max_runs`` runs exist,
-  all runs are k-way merged (newest wins on duplicate keys) into one.
+  all are merged into one.
 
-Reads consult the memtable first, then runs from newest to oldest;
-range scans merge all sources. Keys are (t, oid) tuples of non-negative
-ints, so numpy structured-array ordering matches key ordering.
+Compaction, reads, ``time_range`` and the point count are each one
+newest-wins :func:`~repro.stores.base.merge` over the runs (oldest
+first) and the memtable: of every run's slice at ``t``, of its end
+records, or of everything (once per store state).
 """
 from __future__ import annotations
 
@@ -28,10 +30,7 @@ from typing import Iterable
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import validate_frame
-
-_DTYPE = np.dtype([("t", "<i8"), ("oid", "<i8"), ("x", "<f8"), ("y", "<f8")])
-_EMPTY = np.empty(0, dtype=_DTYPE)
+from repro.stores.base import RECORD, merge, read, to_run, validate_frame
 
 
 class LSMTStore:
@@ -54,126 +53,80 @@ class LSMTStore:
         self._memtable: dict[tuple[int, int], tuple[float, float]] = {}
         self._memtable_limit = int(memtable_limit)
         self._max_runs = int(max_runs)
-        self._runs: list[Path] = []  # oldest → newest
+        self._runs: list[np.memmap] = []  # oldest → newest
         self._next_run = 0
+        self._total: int | None = None  # total_points() until the next write
         if df is not None:
-            self.put_frame(df)
+            try:
+                self.put_frame(df)
+            except BaseException:
+                self.close()  # a rejected frame leaves no directory behind
+                raise
 
     # ------------------------------------------------------------- write
     def put(self, t: int, oid: int, x: float, y: float) -> None:
         """Insert/overwrite one point; may trigger a flush."""
         self._memtable[(int(t), int(oid))] = (float(x), float(y))
+        self._total = None
         if len(self._memtable) >= self._memtable_limit:
             self.flush()
 
     def put_frame(self, df: pd.DataFrame) -> None:
-        """Bulk-insert a trajectory frame through the normal write path."""
-        df = validate_frame(df)
-        for t, oid, x, y in df.itertuples(index=False):
-            self.put(t, oid, x, y)
+        """Bulk-insert a trajectory frame as memtable-sized sorted runs."""
+        run = to_run(validate_frame(df))
+        self._total = None
+        self.flush()  # earlier puts are older than the frame
+        for lo in range(0, len(run), self._memtable_limit):
+            self._write(run[lo : lo + self._memtable_limit])
 
     def flush(self) -> None:
         """Write the memtable as a new sorted run."""
-        if not self._memtable:
-            return
-        rec = np.empty(len(self._memtable), dtype=_DTYPE)
-        for i, ((t, oid), (x, y)) in enumerate(self._memtable.items()):
-            rec[i] = (t, oid, x, y)
-        rec.sort(order=("t", "oid"))
-        path = self._dir / f"run-{self._next_run:06d}.sst"
-        self._next_run += 1
-        rec.tofile(path)
-        self._runs.append(path)
-        self._memtable.clear()
-        if len(self._runs) > self._max_runs:
-            self._compact()
+        if self._memtable:
+            run = self._memtable_run()
+            self._memtable.clear()
+            self._write(run)
 
-    def _compact(self) -> None:
-        """Size-tiered compaction: merge all runs, newest wins per key."""
-        merged: dict[tuple[int, int], tuple[float, float]] = {}
-        for path in self._runs:  # oldest first → later (newer) overwrite
-            for r in np.fromfile(path, dtype=_DTYPE):
-                merged[(int(r["t"]), int(r["oid"]))] = (float(r["x"]), float(r["y"]))
-        rec = np.empty(len(merged), dtype=_DTYPE)
-        for i, ((t, oid), (x, y)) in enumerate(merged.items()):
-            rec[i] = (t, oid, x, y)
-        rec.sort(order=("t", "oid"))
+    def _memtable_run(self) -> np.ndarray:
+        """The memtable as a run (its keys are unique: it is a dict)."""
+        run = np.empty(len(self._memtable), dtype=RECORD)
+        run["t"], run["oid"] = np.reshape(list(self._memtable), (-1, 2)).T
+        run["xy"] = np.reshape(list(self._memtable.values()), (-1, 2))
+        return run[np.lexsort((run["oid"], run["t"]))]
+
+    def _write(self, run: np.ndarray) -> None:
+        """Add ``run`` as the newest SSTable, first merging it with every
+        older run if there are already ``max_runs`` (size-tiered
+        compaction)."""
+        if len(self._runs) >= self._max_runs:
+            run, old = merge(self._runs + [run]), self._runs
+            self._runs = []
+            for r in old:
+                Path(r.filename).unlink()
         path = self._dir / f"run-{self._next_run:06d}.sst"
         self._next_run += 1
-        rec.tofile(path)
-        for old in self._runs:
-            old.unlink()
-        self._runs = [path]
+        run.tofile(path)
+        self._runs.append(np.memmap(path, dtype=RECORD, mode="r"))
 
     # -------------------------------------------------------------- read
-    def _run_mmap(self, path: Path) -> np.ndarray:
-        return np.memmap(path, dtype=_DTYPE, mode="r")
-
-    def _range_from_run(self, rec: np.ndarray, t: int) -> np.ndarray:
-        """Records for timestamp ``t`` — one binary-searched range scan."""
-        lo = np.searchsorted(rec["t"], t, side="left")
-        hi = np.searchsorted(rec["t"], t, side="right")
-        return np.asarray(rec[lo:hi])
+    def _read(self, t: int, oids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        run = merge([read(r, t, oids) for r in self._runs + [self._memtable_run()]])
+        return run["oid"], run["xy"]
 
     def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        t = int(t)
-        # Newer sources override older on duplicate keys.
-        out: dict[int, tuple[float, float]] = {}
-        for path in self._runs:
-            for r in self._range_from_run(self._run_mmap(path), t):
-                out[int(r["oid"])] = (float(r["x"]), float(r["y"]))
-        for (kt, oid), (x, y) in self._memtable.items():
-            if kt == t:
-                out[oid] = (x, y)
-        if not out:
-            return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
-        oids = np.array(sorted(out), dtype=np.int64)
-        xy = np.array([out[int(o)] for o in oids], dtype=np.float64)
-        return oids, xy
+        return self._read(int(t))
 
     def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        t = int(t)
-        want = sorted({int(o) for o in oids})
-        out: dict[int, tuple[float, float]] = {}
-        for path in self._runs:
-            rec = self._run_mmap(path)
-            # Narrow to the timestamp's key range, then one binary search
-            # per requested oid within it (oids are sorted in-range).
-            seg = self._range_from_run(rec, t)
-            if not len(seg):
-                continue
-            seg_oids = seg["oid"]
-            pos = np.searchsorted(seg_oids, np.asarray(want, dtype=np.int64))
-            for oid, p in zip(want, pos):
-                if p < len(seg_oids) and seg_oids[p] == oid:
-                    out[oid] = (float(seg[p]["x"]), float(seg[p]["y"]))
-        for oid in want:
-            if (t, oid) in self._memtable:
-                out[oid] = self._memtable[(t, oid)]
-        if not out:
-            return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
-        hit = np.array(sorted(out), dtype=np.int64)
-        xy = np.array([out[int(o)] for o in hit], dtype=np.float64)
-        return hit, xy
+        return self._read(int(t), np.fromiter(oids, dtype=np.int64))
 
     # ------------------------------------------------------------- stats
     def time_range(self) -> tuple[int, int]:
-        ts: int | None = None
-        te: int | None = None
-        for path in self._runs:
-            rec = self._run_mmap(path)
-            if len(rec):
-                ts = int(rec["t"][0]) if ts is None else min(ts, int(rec["t"][0]))
-                te = int(rec["t"][-1]) if te is None else max(te, int(rec["t"][-1]))
-        for (t, _oid) in self._memtable:
-            ts = t if ts is None else min(ts, t)
-            te = t if te is None else max(te, t)
-        return (0, -1) if ts is None else (ts, te)
+        t = merge([r[[0, -1]] for r in self._runs] + [self._memtable_run()])["t"]
+        return (int(t[0]), int(t[-1])) if len(t) else (0, -1)
 
     def total_points(self) -> int:
-        keys = {(int(r["t"]), int(r["oid"])) for p in self._runs for r in np.fromfile(p, dtype=_DTYPE)}
-        keys.update(self._memtable)
-        return len(keys)
+        if self._total is None:
+            self._total = len(merge(self._runs + [self._memtable_run()]))
+        return self._total
 
     @property
     def n_runs(self) -> int:
@@ -182,5 +135,6 @@ class LSMTStore:
     def close(self) -> None:
         """Delete the store's own temporary directory; a directory the
         caller passed in is left as it is."""
+        self._runs = []
         if self._tmp is not None:
             self._tmp.cleanup()

@@ -41,22 +41,17 @@ class RDBMSStore:
         self._con.execute("CREATE INDEX idx_t_oid ON points (t, oid)")
         self._con.unregister("df_in")
         self._n = len(df)
-        if self._n:
-            ts, te = self._con.execute("SELECT min(t), max(t) FROM points").fetchone()
-            self._range = (int(ts), int(te))
-        else:
-            self._range = (0, -1)
+        t = df["t"]  # sorted: the span is its ends
+        self._range = (int(t.iloc[0]), int(t.iloc[-1])) if self._n else (0, -1)
 
     def time_range(self) -> tuple[int, int]:
         return self._range
 
     def _fetch(self, sql: str, params: list) -> tuple[np.ndarray, np.ndarray]:
+        # validate_frame made the columns BIGINT / DOUBLE without NULLs, so
+        # they come back as plain int64 / float64 arrays.
         out = self._con.execute(sql, params).fetchnumpy()
-        oids = out["oid"].astype(np.int64)
-        xy = np.column_stack([out["x"], out["y"]]).astype(np.float64)
-        if xy.size == 0:
-            xy = np.empty((0, 2), dtype=np.float64)
-        return oids, xy
+        return out["oid"], np.column_stack([out["x"], out["y"]])
 
     def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         return self._fetch(

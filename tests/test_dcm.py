@@ -31,11 +31,14 @@ class TestDcmEqualsPccd:
         got = dcm(spark, spark.createDataFrame(df), 2, 3, EPS, part_len=part_len)
         assert got == exp
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    # "empty" mines a world with no rows.
+    @pytest.mark.parametrize("seed", [1, 2, 3, pytest.param(None, id="empty")])
     def test_random_worlds(self, spark, seed):
-        df = _rand_world(seed)
+        df = _rand_world(1).iloc[:0] if seed is None else _rand_world(seed)
         exp = pccd(FileStore(df), 2, 4, EPS)
-        got = dcm(spark, spark.createDataFrame(df), 2, 4, EPS, part_len=6)
+        # The schema is spelled out because Spark cannot infer it from no rows.
+        sdf = spark.createDataFrame(df, "t long, oid long, x double, y double")
+        got = dcm(spark, sdf, 2, 4, EPS, part_len=6)
         assert got == exp
 
     def test_convoy_spanning_three_partitions(self, spark):

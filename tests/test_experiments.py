@@ -45,6 +45,8 @@ class TestRegistry:
     def test_store_kinds(self, kind, trucks_test):
         s = make_store(kind, trucks_test.df)
         assert s.total_points() == trucks_test.n_points
+        if hasattr(s, "close"):  # a FileStore holds nothing to release
+            s.close()
 
 
 class TestRunners:

@@ -1,12 +1,17 @@
 """Store substrate tests: FileStore / RDBMSStore / LSMTStore equivalence,
-LSMT internals (flush/compaction), metering, and DuckDB-oracle checks of
-the two access paths the paper's Section 5 requires."""
+LSMT internals (flush/compaction), metering, the malformed-input
+boundary, and DuckDB-oracle checks of the two access paths the paper's
+Section 5 requires."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stores import FileStore, LSMTStore, MeteredStore, RDBMSStore
 from repro.synth_data import convoy_scene
+from repro.testkit import EPS
 
 
 def _frame(seed=0, n_obj=25, n_t=30, drop=0.2):
@@ -36,7 +41,15 @@ def _stores():
 
 @pytest.fixture(scope="module", params=["file", "rdbms", "lsmt"])
 def store(request):
-    return dict(_stores())[request.param]
+    stores = dict(_stores())
+    yield stores[request.param]
+    _close(stores.values())
+
+
+def _close(stores):
+    for s in stores:
+        if hasattr(s, "close"):  # a FileStore holds nothing to release
+            s.close()
 
 
 class TestStoreInterface:
@@ -81,6 +94,7 @@ class TestStoreCrossEquivalence:
             for name, (oids, xy) in snaps.items():
                 assert oids.tolist() == ref_oids.tolist(), (name, t)
                 np.testing.assert_allclose(xy, ref_xy, err_msg=f"{name}@{t}")
+        _close(s for _name, s in stores)
 
 
 class TestOracleAccessPaths:
@@ -111,6 +125,7 @@ class TestOracleAccessPaths:
             "SELECT oid, x, y FROM pts WHERE t = 3 AND oid IN (1,2,8)",
             pts=DF,
         )
+        store.close()
 
 
 class TestLSMTInternals:
@@ -122,6 +137,7 @@ class TestLSMTInternals:
         assert s.n_runs == 4  # 200 puts / 50 per memtable
         s.flush()
         assert s.total_points() == 200
+        s.close()
 
     def test_compaction_bounds_runs(self):
         s = LSMTStore(memtable_limit=10, max_runs=3)
@@ -129,6 +145,7 @@ class TestLSMTInternals:
             for oid in range(5):
                 s.put(t, oid, float(t), float(oid))
         assert s.n_runs <= 4  # compaction keeps the tier count bounded
+        s.close()
 
     def test_newest_write_wins(self):
         s = LSMTStore(memtable_limit=4, max_runs=2)
@@ -139,6 +156,7 @@ class TestLSMTInternals:
         oids, xy = s.points(1, [1])
         assert oids.tolist() == [1]
         np.testing.assert_allclose(xy[0], [99.0, 98.0])
+        s.close()
 
     def test_reads_mix_memtable_and_runs(self):
         s = LSMTStore(memtable_limit=6, max_runs=10)
@@ -147,6 +165,7 @@ class TestLSMTInternals:
                 s.put(t, oid, t + oid / 10, 0.0)
         oids, _ = s.snapshot(1)
         assert oids.tolist() == [0, 1, 2, 3, 4]
+        s.close()
 
     def test_scene_roundtrip(self):
         df, _ = convoy_scene(n_objects=20, n_timestamps=30, n_convoys=1,
@@ -158,6 +177,7 @@ class TestLSMTInternals:
             b, bx = f.snapshot(t)
             assert a.tolist() == b.tolist()
             np.testing.assert_allclose(ax, bx)
+        s.close()
 
     def test_close_removes_own_directory_only(self, tmp_path):
         own = LSMTStore(DF, memtable_limit=8)
@@ -168,6 +188,99 @@ class TestLSMTInternals:
         given.close()
         assert not own_dir.exists()
         assert any(tmp_path.iterdir())
+
+
+_T, _OID = st.integers(0, 8), st.integers(0, 5)
+_XY = st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 2)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _T, _OID, _XY),
+        st.tuples(st.just("put_frame"), st.dictionaries(st.tuples(_T, _OID), _XY, max_size=15)),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=30,
+)
+
+
+class TestLSMTModel:
+    """Random write sequences against a dict model: reads see the newest
+    write of every key, however the writes are spread over memtable,
+    runs and compactions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS, memtable_limit=st.integers(1, 6), max_runs=st.integers(0, 4))
+    def test_matches_dict_model(self, ops, memtable_limit, max_runs):
+        s = LSMTStore(memtable_limit=memtable_limit, max_runs=max_runs)
+        model: dict[tuple[int, int], tuple[float, float]] = {}
+        try:
+            for op, *args in ops:
+                if op == "put":
+                    t, oid, xy = args
+                    s.put(t, oid, *xy)
+                    model[(t, oid)] = xy
+                elif op == "put_frame":
+                    rows = [(t, oid, *xy) for (t, oid), xy in args[0].items()]
+                    s.put_frame(pd.DataFrame(rows, columns=["t", "oid", "x", "y"]))
+                    model.update(args[0])
+                else:
+                    s.flush()
+                assert s.n_runs <= max_runs + 1
+                assert s.total_points() == len(model)
+                ts = [t for t, _oid in model]
+                assert s.time_range() == ((min(ts), max(ts)) if ts else (0, -1))
+            for t in range(-1, 10):  # -1 and 9 are never written
+                at_t = sorted((oid, xy) for (kt, oid), xy in model.items() if kt == t)
+                oids, xy = s.snapshot(t)
+                assert list(zip(oids.tolist(), map(tuple, xy.tolist()))) == at_t
+                want = {0, 2, 5, 99}
+                oids, xy = s.points(t, want)
+                assert list(zip(oids.tolist(), map(tuple, xy.tolist()))) == [
+                    (oid, p) for oid, p in at_t if oid in want
+                ]
+        finally:
+            s.close()
+
+
+def _malformed(problem):
+    """DF with row 5 made bad (for "duplicate": given row 4's key) →
+    (frame, the error's problem label)."""
+    df = DF.astype({"t": np.float64})
+    if problem == "duplicate":
+        df.loc[5, ["t", "oid"]] = df.loc[4, ["t", "oid"]]
+        return df, "duplicate (t, oid)"
+    col, value = {"nan": ("x", np.nan), "inf": ("y", np.inf),
+                  "-inf": ("x", -np.inf), "fractional-t": ("t", 1.5)}[problem]
+    df.loc[5, col] = value
+    return df, "non-integral t" if col == "t" else "non-finite x/y"
+
+
+class TestMalformedInput:
+    """validate_frame is the one boundary: every backend rejects the same
+    bad rows with the same error (Spark leaves out duplicates, whose check
+    needs a shuffle per query)."""
+
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [
+            (kind, problem)
+            for kind in ("file", "rdbms", "lsmt", "spark")
+            for problem in ("nan", "inf", "-inf", "fractional-t", "duplicate")
+            if (kind, problem) != ("spark", "duplicate")
+        ],
+    )
+    def test_rejected_on_every_backend(self, request, kind, problem):
+        df, label = _malformed(problem)
+        if kind == "spark":
+            from repro.core.k2hop_spark import k2hop_spark
+
+            spark = request.getfixturevalue("spark")
+            with pytest.raises(ValueError, match=re.escape(f"{label} at 1 rows")):
+                k2hop_spark(spark, spark.createDataFrame(df), 3, 4, EPS)
+            return
+        make = {"file": FileStore, "rdbms": RDBMSStore, "lsmt": LSMTStore}[kind]
+        rows = "2 rows [4, 5]" if problem == "duplicate" else "1 rows [5]"
+        with pytest.raises(ValueError, match=re.escape(f"{label} at {rows}")):
+            make(df)
 
 
 class TestMeteredStore:
