@@ -2,10 +2,10 @@
 substitute and print the convoys found.
 
 Usage:
-  spark-submit jobs/mine_convoys.py --algo k2hop --dataset tdrive --m 3 --k 24
+  python jobs/mine_convoys.py --algo k2hop --dataset tdrive --m 3 --k 24
 """
 import argparse
-import os
+from contextlib import closing
 
 
 def main():
@@ -20,14 +20,7 @@ def main():
     p.add_argument("--eps", type=float, default=0.0, help="0 → dataset reference eps")
     args = p.parse_args()
 
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
-        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    from repro.experiments import dataset, make_store
+    from repro.experiments import dataset, make_store, spark_session
     from repro.core.k2hop import k2hop
     from repro.core.k2hop_spark import k2hop_spark
     from repro.baselines.vcoda import vcoda, vcoda_star
@@ -40,7 +33,7 @@ def main():
     eps = args.eps or ds.eps_ref
 
     if args.algo in ("k2hop-spark", "spare", "dcm"):
-        spark = SparkSession.builder.appName("repro-mine").getOrCreate()
+        spark = spark_session()
         sdf = spark.createDataFrame(ds.df)
         if args.algo == "k2hop-spark":
             out = k2hop_spark(spark, sdf, args.m, k, eps).convoys
@@ -50,15 +43,15 @@ def main():
             out = dcm(spark, sdf, args.m, k, eps)
         spark.stop()
     else:
-        store = make_store(args.store, ds.df)
-        if args.algo == "k2hop":
-            out = k2hop(store, args.m, k, eps).convoys
-        elif args.algo == "vcoda":
-            out = vcoda(store, args.m, k, eps)
-        elif args.algo == "vcoda-star":
-            out = vcoda_star(store, args.m, k, eps)
-        else:
-            out = pccd(store, args.m, k, eps)
+        with closing(make_store(args.store, ds.df)) as store:
+            if args.algo == "k2hop":
+                out = k2hop(store, args.m, k, eps).convoys
+            elif args.algo == "vcoda":
+                out = vcoda(store, args.m, k, eps)
+            elif args.algo == "vcoda-star":
+                out = vcoda_star(store, args.m, k, eps)
+            else:
+                out = pccd(store, args.m, k, eps)
 
     print(f"{args.algo} on {args.dataset}({args.size}) m={args.m} k={k} eps={eps}: "
           f"{len(out)} convoys")

@@ -10,7 +10,8 @@ its step 4.
 
 ``part_len`` is exactly the data-dependent parameter the paper
 criticizes: too small → merge-dominated, too large → no parallelism.
-The default 4·k is a reasonable middle; the benchmarks expose it.
+The default 4·k is a reasonable middle; the tests check that the
+convoys found do not depend on it.
 
 Output: maximal partially-connected convoys (DCM's semantics, following
 CMC). The tests cross-check it against PCCD.

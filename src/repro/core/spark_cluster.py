@@ -9,11 +9,12 @@ repro hint prescribes for this paper.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core.clustering import dbscan
+from repro.core.clustering import meps_clusters
 
 CLUSTERS_SCHEMA = StructType(
     [
@@ -25,22 +26,21 @@ CLUSTERS_SCHEMA = StructType(
 
 
 def snapshot_clusters(df: DataFrame, m: int, eps: float) -> DataFrame:
-    """(t, oid, x, y) → (t, oid, cid) cluster membership per snapshot.
-
-    Only rows belonging to an (m,eps)-cluster (size ≥ m) survive; cids
-    are unique within a timestamp only.
+    """(t, oid, x, y) → (t, oid, cid) membership of each snapshot's
+    (m,eps)-clusters (``meps_clusters``); cids are unique within a
+    timestamp only. Objects in no cluster have no row.
     """
 
     def _cluster(pdf: pd.DataFrame) -> pd.DataFrame:
-        xy = pdf[["x", "y"]].to_numpy()
-        labels = dbscan(xy, eps, m)
-        out = pd.DataFrame(
-            {"t": pdf["t"].to_numpy(), "oid": pdf["oid"].to_numpy(), "cid": labels}
+        clusters = meps_clusters(pdf["oid"].to_numpy(), pdf[["x", "y"]].to_numpy(), m, eps)
+        sizes = [len(c) for c in clusters]
+        return pd.DataFrame(
+            {
+                "t": np.full(sum(sizes), pdf["t"].iat[0], dtype=np.int64),
+                "oid": np.fromiter((o for c in clusters for o in c), np.int64, sum(sizes)),
+                "cid": np.repeat(np.arange(len(clusters), dtype=np.int64), sizes),
+            }
         )
-        out = out[out.cid >= 0]
-        # Enforce the size-≥-m (m,eps)-cluster filter.
-        sizes = out.groupby("cid")["oid"].transform("size")
-        return out[sizes >= m]
 
     return df.groupBy("t").applyInPandas(_cluster, CLUSTERS_SCHEMA)
 

@@ -1,10 +1,17 @@
-"""Shared experiment harness for the paper's evaluation (Section 6).
+"""The paper's evaluation (Section 6) as tables: one driver.
 
 Provides the dataset registry (the three scaled paper-dataset
 substitutes with a per-dataset reference eps and k-grid), store
-construction, and timed runners for every algorithm. ``jobs/*`` and
-``benchmarks/*`` are thin wrappers over these so the numbers in
-EXPERIMENTS.md are regenerable from one code path.
+construction, timed runners for every algorithm, and one row builder per
+EXPERIMENTS.md table, registered by name in :data:`TABLES`. Print them
+as markdown with::
+
+    python -m repro.experiments [--size test|bench] [TABLE ...]
+
+(no names: every table). Only ``gain_spare`` and ``gain_dcm`` start a
+Spark session; importing this module does not import pyspark. Timing
+under load, with repeats and spreads, is ``perfbench/``'s job; these
+tables are one run per cell.
 
 Parameter grids: the paper sweeps k ∈ {200..1200} on timelines of tens
 of thousands of timestamps, m ∈ {3,6,9} and eps over ±10×. Our datasets
@@ -16,7 +23,10 @@ same qualitative regimes: more clusters ↔ fewer clusters).
 """
 from __future__ import annotations
 
+import argparse
+import os
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +36,7 @@ from repro.baselines.cmc import pccd
 from repro.baselines.vcoda import vcoda, vcoda_star
 from repro.core.k2hop import K2HopResult, k2hop
 from repro.stores import FileStore, LSMTStore, MeteredStore, RDBMSStore
-from repro.synth_data import brinkhoff_like, tdrive_like, trucks_like
+from repro.synth_data import brinkhoff_like, convoy_scene, tdrive_like, trucks_like
 
 
 @dataclass
@@ -54,6 +64,7 @@ _SCALES = {
     "tdrive": {"test": 0.004, "bench": 0.02},
     "brinkhoff": {"test": 0.004, "bench": 0.02},
 }
+DATASETS = tuple(_SCALES)
 
 
 def dataset(name: str, size: str = "bench") -> Dataset:
@@ -96,24 +107,15 @@ def run_k2hop(
     the store once; queries with different m/k/eps reuse it — k/2-hop's
     design requirement (6) in §5).
     """
-    store = make_store(store_kind, df)
-    try:
-        t0 = time.perf_counter()
-        res = k2hop(MeteredStore(store), m, k, eps)
-        return time.perf_counter() - t0, res
-    finally:
-        if hasattr(store, "close"):  # a FileStore holds nothing to release
-            store.close()
+    with closing(make_store(store_kind, df)) as store:
+        return timed(k2hop, MeteredStore(store), m, k, eps)
 
 
 def run_vcoda(
     df: pd.DataFrame, m: int, k: int, eps: float, *, star: bool = True
 ) -> tuple[float, list]:
     """VCoDA(*) over an in-memory store (its original setting)."""
-    store = FileStore(df)
-    t0 = time.perf_counter()
-    out = (vcoda_star if star else vcoda)(store, m, k, eps)
-    return time.perf_counter() - t0, out
+    return timed(vcoda_star if star else vcoda, FileStore(df), m, k, eps)
 
 
 def timed(fn: Callable, *args, **kw) -> tuple[float, object]:
@@ -122,7 +124,49 @@ def timed(fn: Callable, *args, **kw) -> tuple[float, object]:
     return time.perf_counter() - t0, out
 
 
+def spark_session():
+    """A local Spark session (``SPARK_MASTER``, default ``local[*]``;
+    ``SPARK_DRIVER_MEM``, default 8g). pyspark is imported only here."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    from pyspark.sql import SparkSession
+
+    return (
+        SparkSession.builder.appName("repro")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
+
+
 # ------------------------------------------------------------------ tables
+
+
+#: Table 4: the paper's Brinkhoff generator configuration
+BRINKHOFF_PAPER = {
+    "MaxTime": 25_000,
+    "ObjBegin": 5_000,
+    "data_space_width": 23_572,
+    "data_space_height": 26_915,
+    "number_of_nodes": 6_105,
+    "number_of_edges": 7_035,
+    "moving_objects": 2_505_000,
+    "points": 122_014_762,
+}
+
+
+def table4_rows(size: str = "bench") -> list[dict]:
+    """Table 4: the Brinkhoff property sheet, paper vs our generator."""
+    _df, _truth, props = brinkhoff_like(scale=_SCALES["brinkhoff"][size])
+    return [
+        {"property": key, "paper": value, "generated": int(props[key])}
+        for key, value in BRINKHOFF_PAPER.items()
+    ]
 
 
 def pruning_rows(
@@ -165,23 +209,30 @@ def markdown_table(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+def _time_stores(row: dict, df: pd.DataFrame, m: int, k: int, eps: float,
+                 *, counts: bool = True) -> dict:
+    """Add ``k2-<kind>_s`` for every store to ``row``; with ``counts``
+    also the run's ``pruning_pct`` and ``n_convoys`` (equal on every
+    store), placed after the first store's time."""
+    for kind in STORE_KINDS:
+        sec, res = run_k2hop(df, kind, m, k, eps)
+        row[f"k2-{kind}_s"] = sec
+        if counts:
+            row["pruning_pct"] = res.pruning_pct
+            row["n_convoys"] = len(res.convoys)
+    return row
+
+
 def effect_k_rows(ds: Dataset, *, m: int = 3, n_k: int = 6, include_vcoda: bool = True) -> list[dict]:
     """Fig 7h/8a/8b (+7a/7b gains): runtime vs k per storage backend."""
     rows = []
     for k in ds.k_grid(n_k):
-        row: dict = {"dataset": ds.name, "k": k}
-        for kind in STORE_KINDS:
-            sec, res = run_k2hop(ds.df, kind, m, k, ds.eps_ref)
-            row[f"k2-{kind}_s"] = sec
-            row["pruning_pct"] = res.pruning_pct
-            row["n_convoys"] = len(res.convoys)
+        row = _time_stores({"dataset": ds.name, "k": k}, ds.df, m, k, ds.eps_ref)
         if include_vcoda:
-            sec_naive, _ = run_vcoda(ds.df, m, k, ds.eps_ref, star=False)
-            sec_star, _ = run_vcoda(ds.df, m, k, ds.eps_ref, star=True)
-            row["vcoda_s"] = sec_naive
-            row["vcoda*_s"] = sec_star
-            row["gain_k2file_over_vcoda*"] = sec_star / max(row["k2-file_s"], 1e-9)
-            row["gain_k2rdbms_over_vcoda*"] = sec_star / max(row["k2-rdbms_s"], 1e-9)
+            row["vcoda_s"], _ = run_vcoda(ds.df, m, k, ds.eps_ref, star=False)
+            row["vcoda*_s"], _ = run_vcoda(ds.df, m, k, ds.eps_ref, star=True)
+            for kind in ("file", "rdbms"):
+                row[f"gain_k2{kind}_over_vcoda*"] = row["vcoda*_s"] / max(row[f"k2-{kind}_s"], 1e-9)
         rows.append(row)
     return rows
 
@@ -191,12 +242,7 @@ def effect_m_rows(ds: Dataset, *, k: int | None = None, ms=(3, 6, 9), include_vc
     k = k if k is not None else ds.k_grid(2)[1]
     rows = []
     for m in ms:
-        row: dict = {"dataset": ds.name, "m": m, "k": k}
-        for kind in STORE_KINDS:
-            sec, res = run_k2hop(ds.df, kind, m, k, ds.eps_ref)
-            row[f"k2-{kind}_s"] = sec
-            row["pruning_pct"] = res.pruning_pct
-            row["n_convoys"] = len(res.convoys)
+        row = _time_stores({"dataset": ds.name, "m": m, "k": k}, ds.df, m, k, ds.eps_ref)
         if include_vcoda:
             row["vcoda*_s"], _ = run_vcoda(ds.df, m, k, ds.eps_ref)
         rows.append(row)
@@ -210,12 +256,7 @@ def effect_eps_rows(ds: Dataset, *, k: int | None = None, m: int = 3,
     rows = []
     for f in eps_factors:
         eps = ds.eps_ref * f
-        row: dict = {"dataset": ds.name, "eps": eps, "m": m, "k": k}
-        for kind in STORE_KINDS:
-            sec, res = run_k2hop(ds.df, kind, m, k, eps)
-            row[f"k2-{kind}_s"] = sec
-            row["pruning_pct"] = res.pruning_pct
-            row["n_convoys"] = len(res.convoys)
+        row = _time_stores({"dataset": ds.name, "eps": eps, "m": m, "k": k}, ds.df, m, k, eps)
         if include_vcoda:
             row["vcoda*_s"], _ = run_vcoda(ds.df, m, k, eps)
         rows.append(row)
@@ -251,11 +292,9 @@ def prevalidation_rows(ds: Dataset, *, m: int = 3, n_k: int = 6) -> list[dict]:
     return rows
 
 
-def convoy_count_rows(*, n_counts=(0, 2, 4, 8), size_hint: str = "bench",
-                      store_kinds=("rdbms", "lsmt"), seed: int = 70) -> list[dict]:
+def convoy_count_rows(*, n_counts=(0, 2, 4, 8), store_kinds=("rdbms", "lsmt"),
+                      seed: int = 70) -> list[dict]:
     """Fig 8k: runtime vs number of planted convoys (Trucks-shaped)."""
-    from repro.synth_data import convoy_scene
-
     rows = []
     for nc in n_counts:
         df, truth = convoy_scene(
@@ -271,31 +310,32 @@ def convoy_count_rows(*, n_counts=(0, 2, 4, 8), size_hint: str = "bench",
     return rows
 
 
-def scalability_rows(*, m: int = 3, include_vcoda=True) -> list[dict]:
-    """Fig 8l: runtime vs dataset size (growing T-Drive-like scales)."""
-    from repro.synth_data import tdrive_like
-
+def scalability_rows(*, size: str = "bench", m: int = 3, include_vcoda=True) -> list[dict]:
+    """Fig 8l: runtime vs dataset size: T-Drive-like at ¼×, ½×, 1× and
+    2× the size's tdrive scale."""
     rows = []
-    for scale in (0.005, 0.01, 0.02, 0.04):
+    for scale in [f * _SCALES["tdrive"][size] for f in (0.25, 0.5, 1, 2)]:
         df, _ = tdrive_like(scale=scale)
-        n_t = int(df.t.nunique())
-        k = max(4, int(0.14 * n_t))
-        row: dict = {"scale": scale, "points": len(df), "k": k}
-        for kind in STORE_KINDS:
-            sec, res = run_k2hop(df, kind, m, k, 100.0)
-            row[f"k2-{kind}_s"] = sec
+        k = max(4, int(0.14 * df.t.nunique()))
+        row = _time_stores({"scale": scale, "points": len(df), "k": k},
+                           df, m, k, 100.0, counts=False)
         if include_vcoda:
             row["vcoda*_s"], _ = run_vcoda(df, m, k, 100.0)
         rows.append(row)
     return rows
 
 
-def spare_gain_rows(spark, *, size: str = "bench", m: int = 3,
-                    names=("trucks", "tdrive", "brinkhoff")) -> list[dict]:
-    """Fig 7d (single machine): k/2-hop (sequential, 1 core) vs SPARE
-    (Spark, local[*] = all cores). Gains >> 1 reproduce the paper's
-    claim even though SPARE gets every core."""
-    from repro.baselines.spare import spare
+def gain_rows(spark, baseline: str, *, size: str = "bench", m: int = 3,
+              names=DATASETS) -> list[dict]:
+    """Fig 7d / 7g: sequential k/2-hop (1 core) vs ``baseline`` ("spare"
+    or "dcm") on Spark local[*] (all cores). Gains >> 1 reproduce the
+    paper's claim even though the baseline gets every core."""
+    if baseline == "spare":
+        from repro.baselines.spare import spare as miner
+    elif baseline == "dcm":
+        from repro.baselines.dcm import dcm as miner
+    else:
+        raise KeyError(baseline)
 
     rows = []
     for name in names:
@@ -303,46 +343,70 @@ def spare_gain_rows(spark, *, size: str = "bench", m: int = 3,
         k = ds.k_grid(2)[1]
         sdf = spark.createDataFrame(ds.df).repartition(64).cache()
         sdf.count()
-        sec_sp, out_sp = timed(spare, spark, sdf, m, k, ds.eps_ref)
+        sec, out = timed(miner, spark, sdf, m, k, ds.eps_ref)
         sec_k2, res = run_k2hop(ds.df, "file", m, k, ds.eps_ref)
         sdf.unpersist()
         rows.append(
             {
                 "dataset": name,
                 "k": k,
-                "spare_s": sec_sp,
+                f"{baseline}_s": sec,
                 "k2-file_s": sec_k2,
-                "gain": sec_sp / max(sec_k2, 1e-9),
-                "spare_n_convoys": len(out_sp),
+                "gain": sec / max(sec_k2, 1e-9),
+                f"{baseline}_n_convoys": len(out),
                 "k2_n_convoys": len(res.convoys),
             }
         )
     return rows
 
 
-def dcm_gain_rows(spark, *, size: str = "bench", m: int = 3,
-                  names=("trucks", "tdrive", "brinkhoff")) -> list[dict]:
-    """Fig 7g: k/2-hop (sequential) vs DCM (Spark, local[*])."""
-    from repro.baselines.dcm import dcm
+def _each_dataset(rows_fn: Callable[[Dataset], list[dict]], names=DATASETS):
+    """A table builder concatenating ``rows_fn`` over ``names``."""
+    return lambda size: [r for n in names for r in rows_fn(dataset(n, size))]
 
-    rows = []
-    for name in names:
-        ds = dataset(name, size)
-        k = ds.k_grid(2)[1]
-        sdf = spark.createDataFrame(ds.df).repartition(64).cache()
-        sdf.count()
-        sec_dcm, out_dcm = timed(dcm, spark, sdf, m, k, ds.eps_ref)
-        sec_k2, res = run_k2hop(ds.df, "file", m, k, ds.eps_ref)
-        sdf.unpersist()
-        rows.append(
-            {
-                "dataset": name,
-                "k": k,
-                "dcm_s": sec_dcm,
-                "k2-file_s": sec_k2,
-                "gain": sec_dcm / max(sec_k2, 1e-9),
-                "dcm_n_convoys": len(out_dcm),
-                "k2_n_convoys": len(res.convoys),
-            }
-        )
-    return rows
+
+#: the EXPERIMENTS.md tables by name; each builder takes the size
+#: ("test" or "bench"), and the SPARK_TABLES ones a Spark session too
+TABLES: dict[str, Callable[..., list[dict]]] = {
+    "table4": table4_rows,
+    "table5": lambda size: [pruning_rows(dataset(n, size)) for n in DATASETS],
+    "effect_k": _each_dataset(effect_k_rows),
+    "effect_m": _each_dataset(effect_m_rows),
+    "effect_eps": _each_dataset(effect_eps_rows),
+    "gain_spare": lambda size, spark: gain_rows(spark, "spare", size=size),
+    "gain_dcm": lambda size, spark: gain_rows(spark, "dcm", size=size),
+    "phases": lambda size: phase_rows(dataset("tdrive", size)),
+    "prevalidation": _each_dataset(prevalidation_rows, ("trucks", "tdrive")),
+    "convoy_count": lambda size: convoy_count_rows(
+        n_counts=(0, 2, 4) if size == "test" else (0, 2, 4, 8)),
+    "scalability": lambda size: scalability_rows(size=size),
+}
+SPARK_TABLES = {"gain_spare", "gain_dcm"}
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Print the EXPERIMENTS.md tables as markdown.",
+    )
+    parser.add_argument("--size", default="bench", choices=["test", "bench"])
+    parser.add_argument("tables", nargs="*", metavar="TABLE",
+                        help=f"one of {', '.join(TABLES)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = [n for n in args.tables if n not in TABLES]
+    if unknown:
+        parser.error(f"unknown table {', '.join(unknown)}; valid names: {', '.join(TABLES)}")
+    names = args.tables or list(TABLES)
+    spark = spark_session() if SPARK_TABLES.intersection(names) else None
+    try:
+        for name in names:
+            extra = (spark,) if name in SPARK_TABLES else ()
+            rows = TABLES[name](args.size, *extra)
+            print(f"## {name}\n\n{markdown_table(rows)}\n", flush=True)
+    finally:
+        if spark is not None:
+            spark.stop()
+
+
+if __name__ == "__main__":
+    main()

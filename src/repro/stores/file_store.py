@@ -40,3 +40,7 @@ class FileStore:
 
     def total_points(self) -> int:
         return len(self._run)
+
+    def close(self) -> None:
+        """Nothing to release (the run is plain memory); here so every
+        store can be closed the same way."""

@@ -1,5 +1,7 @@
 """Harness tests: dataset registry, grids, row generators, and the
 markdown renderer that EXPERIMENTS.md tables come from."""
+from contextlib import closing
+
 import pytest
 
 from repro.experiments import (
@@ -43,10 +45,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("kind", STORE_KINDS)
     def test_store_kinds(self, kind, trucks_test):
-        s = make_store(kind, trucks_test.df)
-        assert s.total_points() == trucks_test.n_points
-        if hasattr(s, "close"):  # a FileStore holds nothing to release
-            s.close()
+        with closing(make_store(kind, trucks_test.df)) as s:
+            assert s.total_points() == trucks_test.n_points
 
 
 class TestRunners:
@@ -55,9 +55,18 @@ class TestRunners:
         assert sec > 0
         assert res.points_processed > 0
 
-    def test_run_vcoda_agrees(self, trucks_test):
-        _, res = run_k2hop(trucks_test.df, "file", 3, 20, trucks_test.eps_ref)
-        _, out = run_vcoda(trucks_test.df, 3, 20, trucks_test.eps_ref)
+    @pytest.mark.parametrize(
+        "name, star, k",
+        [("trucks", True, 20)]
+        + [(n, star, None) for n in ("trucks", "tdrive", "brinkhoff") for star in (True, False)],
+    )
+    def test_run_vcoda_agrees(self, name, star, k):
+        """VCoDA(*) finds exactly k/2-hop's convoys (a faster wrong answer
+        is no gain); k None is the dataset's second grid k."""
+        ds = dataset(name, "test")
+        m, k, eps = 3, k or ds.k_grid(2)[1], ds.eps_ref
+        _, res = run_k2hop(ds.df, "file", m, k, eps)
+        _, out = run_vcoda(ds.df, m, k, eps, star=star)
         assert out == res.convoys
 
 

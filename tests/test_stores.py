@@ -48,8 +48,7 @@ def store(request):
 
 def _close(stores):
     for s in stores:
-        if hasattr(s, "close"):  # a FileStore holds nothing to release
-            s.close()
+        s.close()
 
 
 class TestStoreInterface:
