@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core.clustering import meps_clusters
-from repro.core.convoy import Convoy, antichain
+from repro.core.convoy import Convoy
 from repro.core.merge import dcm_merge
 from repro.core.sweep import sweep_maximal_convoys
 
@@ -90,4 +90,4 @@ def dcm(
         )
     n_parts = (te - ts) // L + 1
     merged = dcm_merge([per_part.get(p, []) for p in range(n_parts)], m)
-    return sorted(antichain([v for v in merged if v.length >= k]))
+    return [v for v in merged if v.length >= k]

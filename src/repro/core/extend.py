@@ -6,7 +6,8 @@ its benchmark-point boundaries, restricted to its own objects. A
 reclustering can continue the convoy whole, split it into smaller
 branches (each explored independently, inheriting the original start),
 or kill it. A convoy that does not survive *in its current shape* is
-recorded via the antichain ``update``; branches carry on.
+recorded via the antichain ``update``; the :func:`antichain` of the
+grown branches carries on.
 
 After the right pass, the left pass extends the right-closed convoys
 toward ``Ts``. Only then is the minimum-length constraint k applied:
@@ -15,7 +16,7 @@ left, so the filter must wait (paper §4.5).
 """
 from __future__ import annotations
 
-from repro.core.convoy import Convoy, update
+from repro.core.convoy import Convoy, antichain, update
 from repro.core.hwmt import recluster_at
 from repro.stores.base import TrajectoryStore
 
@@ -31,52 +32,27 @@ def _extend_one(
 ) -> None:
     """Extend one convoy right (direction=+1) or left (−1) until t_stop.
 
-    Branches with identical object sets are deduplicated keeping the
-    widest lifespan; sub-branches dominated by a sibling superset with an
-    equal-or-wider lifespan are dropped (only non-maximal results lost).
+    Every branch of the frontier ends (right) or starts (left) at the
+    last timestamp reclustered, so :func:`antichain` keeps exactly the
+    branches whose extensions can still be maximal.
     """
-    prev: dict[frozenset[int], Convoy] = {v0.objs: v0}
+    prev = {v0}
     t = (v0.te if direction > 0 else v0.ts) + direction
     while prev and (t <= t_stop if direction > 0 else t >= t_stop):
-        nxt: dict[frozenset[int], Convoy] = {}
-        for objs, v in prev.items():
-            clusters = recluster_at(store, t, [objs], m, eps)
-            if not clusters:
+        grown: list[Convoy] = []
+        for v in prev:
+            clusters = recluster_at(store, t, [v.objs], m, eps)
+            if v.objs not in clusters:  # did not survive in its current shape
                 update(result, v)
-                continue
-            survived_whole = False
-            for c in clusters:
-                if c == objs:
-                    survived_whole = True
-                grown = (
-                    Convoy(ts=v.ts, te=t, objs=c)
-                    if direction > 0
-                    else Convoy(ts=t, te=v.te, objs=c)
-                )
-                old = nxt.get(c)
-                if old is not None:
-                    # Same objects from two parent branches: keep the
-                    # widest lifespan (the frontier end equals t for all
-                    # branches, so min/max picks the realized wider one).
-                    grown = Convoy(
-                        ts=min(grown.ts, old.ts), te=max(grown.te, old.te), objs=c
-                    )
-                nxt[c] = grown
-            if not survived_whole:
-                update(result, v)
-        # Dominance: a branch is redundant if a sibling superset covers
-        # its interval — all its future extensions are sub-convoys.
-        live = {
-            objs: v
-            for objs, v in nxt.items()
-            if not any(
-                objs < o2 and v2.ts <= v.ts and v.te <= v2.te
-                for o2, v2 in nxt.items()
-            )
-        }
-        prev = live
+            grown += [
+                Convoy(ts=v.ts, te=t, objs=c)
+                if direction > 0
+                else Convoy(ts=t, te=v.te, objs=c)
+                for c in clusters
+            ]
+        prev = antichain(grown)
         t += direction
-    for v in prev.values():  # ran off the dataset edge
+    for v in prev:  # ran off the dataset edge
         update(result, v)
 
 

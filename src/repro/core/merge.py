@@ -10,32 +10,17 @@ cannot be extended in its current shape (the white-background rows of
 Table 3). The final result is the maximal antichain of closed + still-
 open convoys.
 
-Dominance pruning keeps the open set small: an open convoy (O, s) is
-dropped when another open convoy (O', s') has O ⊆ O' and s' ≤ s — every
-future merge of O is then a sub-convoy of the corresponding merge of O',
-so only non-maximal results are lost.
+The open set is the :func:`antichain` of each step's convoys. In
+k/2-hop they all end at the same benchmark point, so only convoys whose
+every future merge is a sub-convoy of another's are dropped. The DCM
+baseline feeds per-partition fragments that may end before their
+partition's boundary; those can never merge again (merging needs
+``v.te == w.ts``), so dropping them early loses nothing the final
+antichain keeps.
 """
 from __future__ import annotations
 
 from repro.core.convoy import Convoy, antichain
-
-
-def _dominance_prune(open_set: set[Convoy]) -> set[Convoy]:
-    """Drop (O,[s,b]) when some (O',[s',b]) has O ⊆ O' and s' ≤ s.
-
-    The end times must match: only then is every future merge of the
-    dominated convoy a sub-convoy of the dominator's merge (the DCM
-    baseline feeds convoys with heterogeneous end times through here).
-    """
-    by_size = sorted(open_set, key=lambda v: (len(v.objs), -v.ts), reverse=True)
-    kept: list[Convoy] = []
-    for v in by_size:
-        if not any(
-            v.objs <= w.objs and w.ts <= v.ts and w.te == v.te and v != w
-            for w in kept
-        ):
-            kept.append(v)
-    return set(kept)
 
 
 def dcm_merge(per_window: list[list[Convoy]], m: int) -> list[Convoy]:
@@ -47,19 +32,13 @@ def dcm_merge(per_window: list[list[Convoy]], m: int) -> list[Convoy]:
     closed: set[Convoy] = set()
     open_set: set[Convoy] = set()
     for spanning in per_window:
-        nxt: set[Convoy] = set(spanning)
+        nxt = list(spanning)
         for v in open_set:
-            extended = False
+            # Convoys only meet when v ends where w starts.
             for w in spanning:
-                # Convoys only meet when v ends where w starts.
-                if v.te != w.ts:
-                    continue
-                inter = v.objs & w.objs
-                if len(inter) >= m:
-                    nxt.add(Convoy(ts=v.ts, te=w.te, objs=inter))
-                if v.objs <= w.objs:
-                    extended = True
-            if not extended:
+                if v.te == w.ts and len(inter := v.objs & w.objs) >= m:
+                    nxt.append(Convoy(ts=v.ts, te=w.te, objs=inter))
+            if not any(v.te == w.ts and v.objs <= w.objs for w in spanning):
                 closed.add(v)
-        open_set = _dominance_prune(nxt)
+        open_set = antichain(nxt)
     return sorted(antichain(closed | open_set))

@@ -3,10 +3,13 @@
 This is the corrected CMC-style miner (PCCD semantics, Yoon & Shahabi):
 scan timestamps in order keeping *all* maximal candidate convoys open,
 intersect each with every cluster of the next snapshot, and emit a
-candidate when it cannot be continued in its current shape. Unlike the
-original CMC, candidates are not matched greedily — every (candidate ×
-cluster) intersection of size ≥ m is kept — which fixes CMC's known
-accuracy/recall bugs.
+candidate when it cannot be continued in its current shape, i.e. when no
+cluster holds all its objects. Unlike the original CMC, candidates are
+not matched greedily — every (candidate × cluster) intersection of size
+≥ m is kept — which fixes CMC's known accuracy/recall bugs. The open set
+is the :func:`antichain` of the new clusters and the intersections; all
+of them end at the current timestamp, so only candidates whose every
+continuation is a sub-convoy of another's are dropped.
 
 Used by: the VCoDA/PCCD baselines (over full snapshots), the DCM
 baseline (per temporal partition), and k/2-hop's validation phase
@@ -41,46 +44,32 @@ def sweep_maximal_convoys(
     at ``t_hi`` — such fragments may grow across partition borders.
     """
     out: set[Convoy] = set()
-    open_set: dict[frozenset[int], int] = {}  # objects → start time
+    open_set: set[Convoy] = set()  # every member ends at the previous t
 
-    def close(objs: frozenset[int], s: int, e: int) -> None:
-        v = Convoy(ts=s, te=e, objs=objs)
+    def close(v: Convoy) -> None:
         if v.length >= k or (
-            edge_ts is not None and (s == edge_ts[0] or e == edge_ts[1])
+            edge_ts is not None and (v.ts == edge_ts[0] or v.te == edge_ts[1])
         ):
             out.add(v)
 
     t_prev: int | None = None
     for t, clusters in cluster_seq:
         if t_prev is not None and t != t_prev + 1:  # gap: close everything
-            for objs, s in open_set.items():
-                close(objs, s, t_prev)
-            open_set = {}
-        nxt: dict[frozenset[int], int] = {}
-        for c in clusters:
-            nxt[c] = min(nxt.get(c, t), t)
-        for objs, s in open_set.items():
+            for v in open_set:
+                close(v)
+            open_set = set()
+        nxt = [Convoy(ts=t, te=t, objs=c) for c in clusters]
+        for v in open_set:
             for c in clusters:
-                inter = objs & c
-                if len(inter) >= m:
-                    nxt[inter] = min(nxt.get(inter, s), s)
-        # Dominance prune: (O, s) is redundant if (O', s') has O ⊂ O',
-        # s' ≤ s — its closure would be a sub-convoy of O''s closure.
-        items = sorted(nxt.items(), key=lambda kv: (len(kv[0]), -kv[1]), reverse=True)
-        pruned: dict[frozenset[int], int] = {}
-        for objs, s in items:
-            if not any(objs < o2 and s2 <= s for o2, s2 in pruned.items()):
-                pruned[objs] = s
-        # Close candidates that did not survive in their current shape
-        # (only reachable when t == t_prev + 1; gaps cleared open_set).
-        for objs, s in open_set.items():
-            if not any(objs <= o2 and s2 <= s for o2, s2 in pruned.items()):
-                close(objs, s, t - 1)
-        open_set = pruned
+                if len(inter := v.objs & c) >= m:
+                    nxt.append(Convoy(ts=v.ts, te=t, objs=inter))
+            # Close candidates that did not survive in their current shape.
+            if not any(v.objs <= c for c in clusters):
+                close(v)
+        open_set = antichain(nxt)
         t_prev = t
-    if t_prev is not None:
-        for objs, s in open_set.items():
-            close(objs, s, t_prev)
+    for v in open_set:
+        close(v)
     return sorted(antichain(out))
 
 

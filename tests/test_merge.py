@@ -89,6 +89,30 @@ class TestMergeSemantics:
         per_w = [[convoy([1, 2], i, i + 1)] for i in range(5)]
         assert dcm_merge(per_w, 2) == [convoy([1, 2], 0, 5)]
 
+    def test_dcm_partitions_with_fragments_ending_inside(self):
+        """DCM-shaped input: per-partition sweep output, where a fragment
+        may end before its partition's right boundary.
+
+        The world (m = 2): {1,2} together on [0,10], object 3 with them
+        on [4,5]; partitions [0,4], [4,8], [8,10] share their boundary
+        timestamps. Merging {1,2}[0,4] with [4,5] and [4,8] of the second
+        partition gives {1,2}[0,5] ⊂ {1,2}[0,8], two open convoys with
+        different ends; the shorter one can never merge again. The
+        answer is the world's maximal convoys: {1,2,3}[4,5] (a fragment
+        that ends inside its partition) and {1,2}[0,10].
+        """
+        parts = [
+            [convoy([1, 2], 0, 4), convoy([1, 2, 3], 4, 4)],
+            [convoy([1, 2, 3], 4, 5), convoy([1, 2], 4, 8)],
+            [convoy([1, 2], 8, 10)],
+        ]
+        assert dcm_merge(parts[:2], 2) == [
+            convoy([1, 2], 0, 8), convoy([1, 2, 3], 4, 5),
+        ]
+        assert dcm_merge(parts, 2) == [
+            convoy([1, 2], 0, 10), convoy([1, 2, 3], 4, 5),
+        ]
+
     def test_result_is_antichain(self):
         got = dcm_merge(_fig5_windows(), 2)
         for v in got:
