@@ -72,7 +72,7 @@ def dcm(
         lo = ts + p * L
         hi = min(ts + (p + 1) * L, te)
         def seq():
-            for t, grp in pdf.sort_values("t").groupby("t"):
+            for t, grp in pdf.sort_values(["t", "oid"]).groupby("t"):
                 yield int(t), meps_clusters(
                     grp["oid"].to_numpy(), grp[["x", "y"]].to_numpy(), m, eps
                 )

@@ -22,6 +22,7 @@ paper's Table 5 (pruning) and Fig. 8i (phase breakdown) numbers.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,6 +86,9 @@ def run_phases(
     name as it starts, so a metered store can attribute its reads.
     Point counts are the executor's to fill in.
     """
+    # k is checked by hop_length when the benchmark points are laid out.
+    if not (m >= 1 and math.isfinite(eps) and eps > 0):
+        raise ValueError(f"need m >= 1 and a finite eps > 0 (got m={m}, eps={eps})")
     times: dict[str, float] = {}
 
     def phase(name: str):

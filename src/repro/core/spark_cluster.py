@@ -32,6 +32,9 @@ def snapshot_clusters(df: DataFrame, m: int, eps: float) -> DataFrame:
     """
 
     def _cluster(pdf: pd.DataFrame) -> pd.DataFrame:
+        # Spark hands a group's rows over in no set order; DBSCAN's border
+        # ownership follows row order, and the stores serve oid order.
+        pdf = pdf.sort_values("oid")
         clusters = meps_clusters(pdf["oid"].to_numpy(), pdf[["x", "y"]].to_numpy(), m, eps)
         sizes = [len(c) for c in clusters]
         return pd.DataFrame(

@@ -55,3 +55,18 @@ def letters(*names: str) -> list[int]:
 def lset(word: str) -> frozenset[int]:
     """'abc' → frozenset({0,1,2}) — compact group literals in tests."""
     return frozenset(letters(*word))
+
+
+def border_scene() -> pd.DataFrame:
+    """Two (4, 1)-clusters sharing one border point, at timestamps 0–5.
+
+    On the x axis, objects 1–3 sit at -2, 4 at -1, 9 at 0, 5 at 1 and 6–8
+    at 2. With ``m = 4`` and ``eps = 1``, objects 1–8 are core points of
+    {1, 2, 3, 4} and {5, 6, 7, 8}, and 9 (three points within eps,
+    itself included) is a border point of both. DBSCAN gives 9 to the
+    cluster whose lowest-index core point comes first, so in ``oid`` row
+    order 9 joins {1, 2, 3, 4}. Rows are in (t, oid) order.
+    """
+    x = {1: -2.0, 2: -2.0, 3: -2.0, 4: -1.0, 9: 0.0, 5: 1.0, 6: 2.0, 7: 2.0, 8: 2.0}
+    rows = [(t, oid, x[oid], 0.0) for t in range(6) for oid in sorted(x)]
+    return pd.DataFrame(rows, columns=["t", "oid", "x", "y"])

@@ -1,8 +1,9 @@
 """Unit tests for the DBSCAN substrate (grid and naive backends)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.clustering import NOISE, dbscan, meps_clusters
+from repro.core.clustering import GRID_MIN_POINTS, NOISE, dbscan, meps_clusters
 
 
 def _labels_to_partition(labels):
@@ -76,6 +77,47 @@ class TestGridEqualsNaive:
         a = _labels_to_partition(dbscan(xy, 1.0, 3, mode="grid"))
         b = _labels_to_partition(dbscan(xy, 1.0, 3, mode="naive"))
         assert a == b
+
+
+@st.composite
+def snapshots(draw):
+    """(xy, eps) of one snapshot of 0 to 3 x GRID_MIN_POINTS points.
+
+    Lattice worlds put neighbours exactly eps apart and points on top of
+    each other, around the origin (negative coordinates included) or
+    offset by 1e9 with a small power-of-two eps, where cell keys wrap in
+    int64. Continuous worlds are uniform random points.
+    """
+    n = draw(st.integers(0, 3 * GRID_MIN_POINTS))
+    kind = draw(st.sampled_from(["lattice", "offset", "continuous"]))
+    if kind == "continuous":
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        side = draw(st.sampled_from([1.0, 4.0, 12.0]))
+        return (g.random((n, 2)) - 0.5) * side, draw(st.sampled_from([0.3, 1.0, 2.5]))
+    r = draw(st.integers(1, 8))
+    coord = st.integers(-r, r)
+    cells = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    xy = np.array(cells, dtype=float).reshape(n, 2)
+    if kind == "lattice":
+        return xy, 1.0
+    eps = 2.0**-10
+    return 1e9 + xy * eps, eps
+
+
+class TestGridLabelsEqualNaive:
+    """The grid path's labels, not just its partition, equal the pairwise
+    BFS: same cluster numbers, same owner for every border point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshots(), st.integers(1, 6))
+    def test_labels_and_clusters(self, snapshot, min_pts):
+        xy, eps = snapshot
+        grid = dbscan(xy, eps, min_pts, mode="grid")
+        assert grid.tolist() == dbscan(xy, eps, min_pts, mode="naive").tolist()
+        oids = np.arange(len(xy)) * 3 + 5
+        assert meps_clusters(oids, xy, min_pts, eps) == meps_clusters(
+            oids, xy, min_pts, eps, mode="naive"
+        )
 
 
 class TestMepsClusters:

@@ -8,7 +8,7 @@ from repro.baselines.cmc import pccd
 from repro.baselines.dcm import dcm
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
-from repro.testkit import EPS, scene_from_groups
+from repro.testkit import EPS, border_scene, scene_from_groups
 
 
 def _rand_world(seed, n_obj=8, n_t=24):
@@ -58,3 +58,11 @@ class TestDcmEqualsPccd:
         got = dcm(spark, spark.createDataFrame(df), 3, 10, 10.0, part_len=15)
         assert got == exp
         assert got
+
+    def test_border_point_independent_of_row_order(self, spark):
+        # Rows in descending oid order: object 9, a border point of two
+        # clusters, must join the one the stores' oid order discovers first.
+        df = border_scene()
+        exp = pccd(FileStore(df), 4, 4, 1.0)
+        sdf = spark.createDataFrame(df.sort_values(["t", "oid"], ascending=[True, False]))
+        assert dcm(spark, sdf, 4, 4, 1.0, part_len=3) == exp

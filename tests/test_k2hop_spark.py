@@ -1,5 +1,7 @@
 """Distributed k/2-hop: equality with the sequential algorithm, pruning
 accounting, and a DuckDB-oracle check of the pruned hop-window join."""
+import math
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -8,7 +10,7 @@ from repro.core.k2hop import k2hop
 from repro.core.k2hop_spark import k2hop_spark
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
-from repro.testkit import EPS, scene_from_groups
+from repro.testkit import EPS, border_scene, scene_from_groups
 
 
 class TestK2HopSpark:
@@ -40,6 +42,13 @@ class TestK2HopSpark:
         par = k2hop_spark(spark, spark.createDataFrame(df), 3, 12, 10.0).convoys
         assert par == seq
         assert par  # scene contains convoys
+
+    def test_border_point_independent_of_row_order(self, spark):
+        df = border_scene()
+        seq = k2hop(FileStore(df), 4, 4, 1.0).convoys
+        assert {v.objs for v in seq} == {frozenset({1, 2, 3, 4, 9}), frozenset({5, 6, 7, 8})}
+        sdf = spark.createDataFrame(df.sort_values(["t", "oid"], ascending=[True, False]))
+        assert k2hop_spark(spark, sdf, 4, 4, 1.0).convoys == seq
 
     def test_no_convoys_short_circuit(self, spark):
         groups = {t: [] for t in range(30)}
@@ -86,3 +95,17 @@ class TestPrunedJoinOracle:
             pts=df,
             cand=cand,
         )
+
+
+@pytest.mark.parametrize("executor", ["file", "spark"])
+@pytest.mark.parametrize(
+    "m, eps", [(4, 0.0), (4, -1.0), (4, math.nan), (4, math.inf), (0, 1.0)]
+)
+def test_rejects_invalid_m_and_eps(request, executor, m, eps):
+    df = border_scene()
+    with pytest.raises(ValueError, match="m >= 1 and a finite eps > 0"):
+        if executor == "file":
+            k2hop(FileStore(df), m, 4, eps)
+        else:
+            spark = request.getfixturevalue("spark")
+            k2hop_spark(spark, spark.createDataFrame(df), m, 4, eps)

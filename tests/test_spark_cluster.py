@@ -7,7 +7,7 @@ from repro.core.clustering import meps_clusters
 from repro.core.spark_cluster import collect_cluster_sets, snapshot_clusters
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
-from repro.testkit import EPS, scene_from_groups
+from repro.testkit import EPS, border_scene, scene_from_groups
 
 
 class TestSnapshotClusters:
@@ -22,6 +22,19 @@ class TestSnapshotClusters:
         for t in range(30):
             exp = meps_clusters(*store.snapshot(t), 3, 10.0)
             assert sorted(got.get(t, []), key=sorted) == sorted(exp, key=sorted), t
+
+    def test_border_point_follows_oid_order(self, spark):
+        # Rows reach Spark in descending oid order; object 9, a border
+        # point of both clusters, must still join the one the stores'
+        # oid order discovers first.
+        df = border_scene()
+        sdf = spark.createDataFrame(df.sort_values(["t", "oid"], ascending=[True, False]))
+        got = collect_cluster_sets(snapshot_clusters(sdf, 4, 1.0))
+        store = FileStore(df)
+        for t in range(6):
+            exp = meps_clusters(*store.snapshot(t), 4, 1.0)
+            assert exp == [frozenset({1, 2, 3, 4, 9}), frozenset({5, 6, 7, 8})]
+            assert sorted(got[t], key=sorted) == exp, t
 
     def test_noise_dropped(self, spark):
         groups = {0: [[0, 1, 2]], 1: []}
