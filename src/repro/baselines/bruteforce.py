@@ -11,14 +11,8 @@ from itertools import combinations
 
 from repro.core.clustering import meps_clusters
 from repro.core.convoy import Convoy, antichain
+from repro.core.sweep import store_cluster_seq
 from repro.stores.base import TrajectoryStore
-
-
-def _clusters_per_t(store: TrajectoryStore, m: int, eps: float):
-    ts, te = store.time_range()
-    return {
-        t: meps_clusters(*store.snapshot(t), m, eps) for t in range(ts, te + 1)
-    }
 
 
 def brute_force_convoys(
@@ -26,7 +20,7 @@ def brute_force_convoys(
 ) -> list[Convoy]:
     """All maximal partially-connected convoys of length ≥ k, by
     enumerating every interval and every per-timestamp cluster choice."""
-    cpt = _clusters_per_t(store, m, eps)
+    cpt = dict(store_cluster_seq(store, m, eps))
     ts, te = store.time_range()
     found: set[Convoy] = set()
     for s in range(ts, te - k + 2):

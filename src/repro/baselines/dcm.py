@@ -21,21 +21,12 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
-from repro.core.clustering import meps_clusters
 from repro.core.convoy import Convoy
 from repro.core.merge import dcm_merge
-from repro.core.sweep import sweep_maximal_convoys
-
-PART_SCHEMA = StructType(
-    [
-        StructField("p", LongType()),
-        StructField("ts", LongType()),
-        StructField("te", LongType()),
-        StructField("objs", ArrayType(LongType())),
-    ]
-)
+from repro.core.spark_cluster import collect_convoys, convoy_frame, convoy_schema, spark_input
+from repro.core.sweep import store_cluster_seq, sweep_maximal_convoys
+from repro.stores import FileStore
 
 
 def dcm(
@@ -51,11 +42,9 @@ def dcm(
     partitioning on Spark."""
     if part_len is None:
         part_len = 4 * k
-    df = df.select("t", "oid", "x", "y")
-    ts, te = df.agg(F.min("t"), F.max("t")).first()
-    if ts is None:  # no rows
+    df, total, (ts, te) = spark_input(df)
+    if not total:
         return []
-    ts, te = int(ts), int(te)
     L = int(part_len)
 
     # Chunk p owns [ts + p·L, ts + (p+1)·L]; its right boundary is the
@@ -68,26 +57,16 @@ def dcm(
     parts = base.unionByName(dup)
 
     def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
+        # A timestamp without rows yields no clusters, which closes every
+        # open candidate just as the sweep's gap rule does.
         p = int(pdf["p"].iloc[0])
         lo = ts + p * L
         hi = min(ts + (p + 1) * L, te)
-        def seq():
-            for t, grp in pdf.sort_values(["t", "oid"]).groupby("t"):
-                yield int(t), meps_clusters(
-                    grp["oid"].to_numpy(), grp[["x", "y"]].to_numpy(), m, eps
-                )
-        found = sweep_maximal_convoys(seq(), m, k, edge_ts=(lo, hi))
-        return pd.DataFrame(
-            [(p, v.ts, v.te, sorted(v.objs)) for v in found],
-            columns=["p", "ts", "te", "objs"],
-        )
+        seq = store_cluster_seq(FileStore(pdf), m, eps, t_range=(lo, hi))
+        return convoy_frame("p", p, sweep_maximal_convoys(seq, m, k, edge_ts=(lo, hi)))
 
-    rows = parts.groupBy("p").applyInPandas(_mine, PART_SCHEMA).collect()
-    per_part: dict[int, list[Convoy]] = {}
-    for r in rows:
-        per_part.setdefault(int(r["p"]), []).append(
-            Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(r["objs"]))
-        )
+    rows = parts.groupBy("p").applyInPandas(_mine, convoy_schema("p")).collect()
+    per_part = collect_convoys(rows, "p")
     n_parts = (te - ts) // L + 1
     merged = dcm_merge([per_part.get(p, []) for p in range(n_parts)], m)
     return [v for v in merged if v.length >= k]

@@ -23,24 +23,22 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import ArrayType, LongType, StructField, StructType
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.convoy import Convoy, antichain
-from repro.core.spark_cluster import snapshot_clusters
+from repro.core.spark_cluster import (
+    collect_convoys,
+    convoy_frame,
+    convoy_schema,
+    snapshot_clusters,
+    spark_input,
+)
 
 STAR_SCHEMA = StructType(
     [
         StructField("star", LongType()),
         StructField("t", LongType()),
         StructField("nbr", LongType()),
-    ]
-)
-
-CAND_SCHEMA = StructType(
-    [
-        StructField("ts", LongType()),
-        StructField("te", LongType()),
-        StructField("objs", ArrayType(LongType())),
     ]
 )
 
@@ -109,25 +107,18 @@ def _enumerate_star(pdf: pd.DataFrame, k: int, m: int) -> pd.DataFrame:
                 out.append(Convoy(ts=s, te=e, objs=frozenset([star] + chosen)))
 
     dfs([], set(int(t) for t in pdf["t"].unique()), 0)
-    keep = antichain(out)
-    return pd.DataFrame(
-        [(v.ts, v.te, sorted(v.objs)) for v in keep],
-        columns=["ts", "te", "objs"],
-    )
+    return convoy_frame("star", star, antichain(out))
 
 
 def spare(
     spark: SparkSession, df: DataFrame, m: int, k: int, eps: float
 ) -> list[Convoy]:
     """Maximal (partially-connected) convoys via the SPARE pipeline."""
-    clusters = snapshot_clusters(df.select("t", "oid", "x", "y"), m, eps)
+    df, _total, _span = spark_input(df)
+    clusters = snapshot_clusters(df, m, eps)
     stars = clusters.groupBy("t").applyInPandas(_stars, STAR_SCHEMA)
     cands = stars.groupBy("star").applyInPandas(
-        lambda pdf: _enumerate_star(pdf, k, m), CAND_SCHEMA
+        lambda pdf: _enumerate_star(pdf, k, m), convoy_schema("star")
     )
-    rows = cands.collect()
-    out = [
-        Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(r["objs"]))
-        for r in rows
-    ]
-    return sorted(antichain(out))
+    per_star = collect_convoys(cands.collect(), "star")
+    return sorted(antichain(v for found in per_star.values() for v in found))

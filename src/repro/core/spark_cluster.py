@@ -1,20 +1,31 @@
-"""Per-snapshot density clustering as a Spark dataflow.
+"""The Spark pieces that k/2-hop on Spark, DCM and SPARE share.
 
-Clustering is a physical spatial operator with no Catalyst expression,
-so it runs as ``groupBy("t").applyInPandas`` — Catalyst plans the scan,
-filter and shuffle; the per-snapshot DBSCAN runs vectorized in Arrow
-batches. This is the same shape SPARE's first MapReduce stage uses
-(timestamp as the map key, clustering in the reduce), and the shape the
-repro hint prescribes for this paper.
+* :func:`spark_input` — the one Spark input boundary: columns, row count,
+  span and row checks from one aggregate.
+* :func:`snapshot_clusters` — per-snapshot density clustering. It has no
+  Catalyst expression, so it runs as ``groupBy("t").applyInPandas``:
+  Catalyst plans the scan, filter and shuffle, and DBSCAN runs per
+  snapshot in Arrow batches — the shape of SPARE's first MapReduce stage
+  (timestamp as the map key, clustering in the reduce) and the one the
+  repro hint prescribes for this paper.
+* :func:`convoy_schema` / :func:`convoy_frame` / :func:`collect_convoys`
+  — the one convoy row codec: convoys leave a Python worker as
+  ``(key, ts, te, objs)`` rows and reach the driver grouped by key.
 """
 from __future__ import annotations
 
+import math
+from typing import Iterable
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import LongType, StructField, StructType
+from pyspark.sql import DataFrame, Row
+from pyspark.sql import functions as F
+from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core.clustering import meps_clusters
+from repro.core.convoy import Convoy
+from repro.stores.base import COLUMNS, reject
 
 CLUSTERS_SCHEMA = StructType(
     [
@@ -23,6 +34,25 @@ CLUSTERS_SCHEMA = StructType(
         StructField("cid", LongType()),
     ]
 )
+
+
+def spark_input(df: DataFrame) -> tuple[DataFrame, int, tuple[int, int]]:
+    """``df``'s (t, oid, x, y) columns, its row count and its span (Ts, Te).
+
+    One aggregate job takes all three and counts validate_frame's bad
+    rows (null and NaN fail every comparison, so they count too); any bad
+    row raises its ``ValueError``. Duplicate (t, oid) keys are not
+    checked: that needs a shuffle.
+    """
+    df = df.select(*COLUMNS)
+    finite = [(F.col(c) > -math.inf) & (F.col(c) < math.inf) for c in ("x", "y")]
+    good = {"non-integral t": F.col("t") % 1 == 0, "non-finite x/y": finite[0] & finite[1]}
+    total, ts, te, *n_good = df.agg(
+        F.count(F.lit(1)), F.min("t"), F.max("t"), *[F.count(F.when(g, 1)) for g in good.values()]
+    ).first()
+    reject({what: f"{total - n} rows" for what, n in zip(good, n_good) if n < total})
+    # An empty frame has no min/max; (0, -1) is the stores' empty span.
+    return df, total, (int(ts), int(te)) if total else (0, -1)
 
 
 def snapshot_clusters(df: DataFrame, m: int, eps: float) -> DataFrame:
@@ -56,4 +86,34 @@ def collect_cluster_sets(
     out: dict[int, list[frozenset[int]]] = {}
     for (t, _cid), grp in pdf.groupby(["t", "cid"]):
         out.setdefault(int(t), []).append(frozenset(int(o) for o in grp["oid"]))
+    return out
+
+
+def convoy_schema(key: str) -> StructType:
+    """Convoy rows ``(key, ts, te, objs)``, tagged by a long ``key``."""
+    return StructType(
+        [
+            StructField(key, LongType()),
+            StructField("ts", LongType()),
+            StructField("te", LongType()),
+            StructField("objs", ArrayType(LongType())),
+        ]
+    )
+
+
+def convoy_frame(key: str, value: int, convoys: Iterable[Convoy]) -> pd.DataFrame:
+    """``convoys`` as rows of :func:`convoy_schema` ``(key)``, all tagged ``value``."""
+    return pd.DataFrame(
+        [(value, v.ts, v.te, sorted(v.objs)) for v in convoys],
+        columns=[key, "ts", "te", "objs"],
+    )
+
+
+def collect_convoys(rows: Iterable[Row], key: str) -> dict[int, list[Convoy]]:
+    """Collected rows of :func:`convoy_schema` ``(key)`` → {key: convoys}."""
+    out: dict[int, list[Convoy]] = {}
+    for r in rows:
+        out.setdefault(int(r[key]), []).append(
+            Convoy(ts=int(r["ts"]), te=int(r["te"]), objs=frozenset(r["objs"]))
+        )
     return out

@@ -19,13 +19,10 @@ from repro.stores.base import read, to_run, validate_frame
 class FileStore:
     """Trajectory store over one in-memory run."""
 
-    def __init__(self, df: pd.DataFrame, *, time_range: tuple[int, int] | None = None):
-        """``time_range`` overrides the (Ts, Te) derived from the rows —
-        needed when the frame is a pruned slice of a larger dataset but
-        algorithms must still see the full dataset's time span."""
+    def __init__(self, df: pd.DataFrame):
         self._run = to_run(validate_frame(df))
         t = self._run["t"]
-        self._range = time_range or ((int(t[0]), int(t[-1])) if len(t) else (0, -1))
+        self._range = (int(t[0]), int(t[-1])) if len(t) else (0, -1)
 
     def time_range(self) -> tuple[int, int]:
         return self._range

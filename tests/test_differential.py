@@ -10,8 +10,8 @@ the timeline's length and ``m`` past the number of objects.
 * Fully connected miners — k/2-hop on the File, RDBMS and LSMT stores
   (the LSMT flushing every two points), VCoDA, VCoDA* and Spark k/2-hop —
   must equal :func:`brute_force_fc_convoys`.
-* Partially connected miners — PCCD and DCM over a drawn partition
-  length — must equal :func:`brute_force_convoys`.
+* Partially connected miners — PCCD, DCM over a drawn partition
+  length, and SPARE — must equal :func:`brute_force_convoys`.
 """
 from contextlib import closing
 
@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.bruteforce import brute_force_convoys, brute_force_fc_convoys
 from repro.baselines.cmc import pccd
 from repro.baselines.dcm import dcm
+from repro.baselines.spare import spare
 from repro.baselines.vcoda import vcoda, vcoda_star
 from repro.core.k2hop import k2hop
 from repro.core.k2hop_spark import k2hop_spark
@@ -89,6 +90,6 @@ def test_spark_miners_equal_bruteforce(spark, query, part_len):
     assert k2hop_spark(spark, sdf, m, k, EPS).convoys == brute_force_fc_convoys(
         file, m, k, EPS
     )
-    assert dcm(spark, sdf, m, k, EPS, part_len=part_len) == brute_force_convoys(
-        file, m, k, EPS
-    )
+    exp = brute_force_convoys(file, m, k, EPS)
+    assert dcm(spark, sdf, m, k, EPS, part_len=part_len) == exp
+    assert spare(spark, sdf, m, k, EPS) == exp

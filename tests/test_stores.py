@@ -254,27 +254,31 @@ def _malformed(problem):
 
 
 class TestMalformedInput:
-    """validate_frame is the one boundary: every backend rejects the same
-    bad rows with the same error (Spark leaves out duplicates, whose check
-    needs a shuffle per query)."""
+    """Two boundaries with one error: every store goes through
+    validate_frame, and every Spark miner (k/2-hop, DCM, SPARE) through
+    spark_input, which rejects the same bad rows but leaves out
+    duplicates, whose check needs a shuffle per query."""
 
     @pytest.mark.parametrize(
         "kind, problem",
         [
             (kind, problem)
-            for kind in ("file", "rdbms", "lsmt", "spark")
+            for kind in ("file", "rdbms", "lsmt", "spark", "dcm", "spare")
             for problem in ("nan", "inf", "-inf", "fractional-t", "duplicate")
-            if (kind, problem) != ("spark", "duplicate")
+            if kind in ("file", "rdbms", "lsmt") or problem != "duplicate"
         ],
     )
     def test_rejected_on_every_backend(self, request, kind, problem):
         df, label = _malformed(problem)
-        if kind == "spark":
+        if kind in ("spark", "dcm", "spare"):
+            from repro.baselines.dcm import dcm
+            from repro.baselines.spare import spare
             from repro.core.k2hop_spark import k2hop_spark
 
+            mine = {"spark": k2hop_spark, "dcm": dcm, "spare": spare}[kind]
             spark = request.getfixturevalue("spark")
             with pytest.raises(ValueError, match=re.escape(f"{label} at 1 rows")):
-                k2hop_spark(spark, spark.createDataFrame(df), 3, 4, EPS)
+                mine(spark, spark.createDataFrame(df), 3, 4, EPS)
             return
         make = {"file": FileStore, "rdbms": RDBMSStore, "lsmt": LSMTStore}[kind]
         rows = "2 rows [4, 5]" if problem == "duplicate" else "1 rows [5]"
