@@ -52,6 +52,12 @@ GRID_MIN_POINTS = 32
 _ROW = 1 << 32
 _PROBES = np.array([dx * _ROW + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
+#: one query's restricted reclusterings, (t, objects) → the (m,eps)-clusters
+#: of DB[t]|objects. HWMT, extension and validation share it, so each
+#: restriction is read and clustered once. Its entries hold only for the
+#: store, m and eps of that query.
+Memo = dict[tuple[int, frozenset[int]], list[frozenset[int]]]
+
 
 def _neighbors_naive(xy: np.ndarray, eps: float) -> list[list[int]]:
     """eps-neighbor index lists via the full distance matrix (O(n^2))."""

@@ -16,6 +16,7 @@ left, so the filter must wait (paper §4.5).
 """
 from __future__ import annotations
 
+from repro.core.clustering import Memo
 from repro.core.convoy import Convoy, antichain, update
 from repro.core.hwmt import recluster_at
 from repro.stores.base import TrajectoryStore
@@ -29,6 +30,7 @@ def _extend_one(
     direction: int,
     t_stop: int,
     result: set[Convoy],
+    memo: Memo | None,
 ) -> None:
     """Extend one convoy right (direction=+1) or left (−1) until t_stop.
 
@@ -41,7 +43,7 @@ def _extend_one(
     while prev and (t <= t_stop if direction > 0 else t >= t_stop):
         grown: list[Convoy] = []
         for v in prev:
-            clusters = recluster_at(store, t, [v.objs], m, eps)
+            clusters = recluster_at(store, t, [v.objs], m, eps, memo)
             if v.objs not in clusters:  # did not survive in its current shape
                 update(result, v)
             grown += [
@@ -57,24 +59,32 @@ def _extend_one(
 
 
 def extend_right(
-    store: TrajectoryStore, convoys: list[Convoy], m: int, eps: float
+    store: TrajectoryStore,
+    convoys: list[Convoy],
+    m: int,
+    eps: float,
+    memo: Memo | None = None,
 ) -> list[Convoy]:
     """Algorithm 3: extend every convoy to its right-closed forms."""
     _ts, te = store.time_range()
     result: set[Convoy] = set()
     for v in convoys:
-        _extend_one(store, v, m, eps, +1, te, result)
+        _extend_one(store, v, m, eps, +1, te, result, memo)
     return sorted(result)
 
 
 def extend_left(
-    store: TrajectoryStore, convoys: list[Convoy], m: int, eps: float
+    store: TrajectoryStore,
+    convoys: list[Convoy],
+    m: int,
+    eps: float,
+    memo: Memo | None = None,
 ) -> list[Convoy]:
     """Symmetric left pass, from ts(v)−1 down to Ts."""
     ts, _te = store.time_range()
     result: set[Convoy] = set()
     for v in convoys:
-        _extend_one(store, v, m, eps, -1, ts, result)
+        _extend_one(store, v, m, eps, -1, ts, result, memo)
     return sorted(result)
 
 

@@ -15,7 +15,7 @@ cluster set — chaining per timestamp simply prunes faster.
 """
 from __future__ import annotations
 
-from repro.core.clustering import meps_clusters
+from repro.core.clustering import Memo, meps_clusters
 from repro.core.convoy import Convoy
 from repro.stores.base import TrajectoryStore
 
@@ -50,17 +50,23 @@ def recluster_at(
     groups: list[frozenset[int]],
     m: int,
     eps: float,
+    memo: Memo | None = None,
 ) -> list[frozenset[int]]:
     """reCluster(DB[t]|O(g)) for each candidate group g → surviving clusters.
 
     Each group is reclustered restricted to its own objects; results are
     the union of per-group (m,eps)-clusters. Input groups are disjoint,
-    so outputs stay disjoint.
+    so outputs stay disjoint. A group already in ``memo`` is neither
+    read nor clustered again; a new one is added to it.
     """
+    memo = {} if memo is None else memo
     out: list[frozenset[int]] = []
     for g in groups:
-        oids, xy = store.points(t, g)
-        out.extend(meps_clusters(oids, xy, m, eps))
+        key = (t, g)
+        if key not in memo:
+            oids, xy = store.points(t, g)
+            memo[key] = meps_clusters(oids, xy, m, eps)
+        out.extend(memo[key])
     return out
 
 
@@ -70,6 +76,7 @@ def hwmt(
     cc: list[frozenset[int]],
     m: int,
     eps: float,
+    memo: Memo | None = None,
 ) -> list[Convoy]:
     """Mine the 1st-order spanning convoys of one hop-window.
 
@@ -82,7 +89,7 @@ def hwmt(
     groups = list(cc)
     for level in hwmt_order(bi, bi1):
         for t in level:
-            groups = recluster_at(store, t, groups, m, eps)
+            groups = recluster_at(store, t, groups, m, eps, memo)
             if not groups:
                 return []
     return [Convoy(ts=bi, te=bi1, objs=g) for g in groups]

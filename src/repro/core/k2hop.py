@@ -10,6 +10,12 @@ executors.
 5. **extend** right then left → semi-connected candidates (≥ k long);
 6. **validate** (restricted re-mining) → maximal FC convoys.
 
+Phases 3, 5 and 6 all recluster restrictions ``DB[t]|O``, and most of
+validation's were already made by HWMT or extension. Each
+:func:`run_phases` call therefore creates one :data:`Memo` and hands it
+to the three phases, so a query reads and clusters each restricted
+``(t, O)`` once; the points processed count each restriction once too.
+
 Phases 1 and 3 are embarrassingly parallel (per snapshot, per
 hop-window), so an executor supplies only those two maps plus the store
 that extension and validation read. :func:`k2hop` is the sequential
@@ -33,6 +39,7 @@ from repro.core.benchmarks import (
     candidate_clusters,
     hop_windows,
 )
+from repro.core.clustering import Memo
 from repro.core.convoy import Convoy
 from repro.core.extend import extend_left, extend_right
 from repro.core.hwmt import hwmt
@@ -43,9 +50,10 @@ from repro.stores.metered import MeteredStore
 
 #: benchmark points → {b: (m,eps)-clusters of snapshot b}, for every b
 ClusterMap = Callable[[list[int]], dict[int, list[frozenset[int]]]]
-#: (hop-windows, candidate clusters per window) → spanning convoys per window
+#: (hop-windows, candidate clusters per window, the query's memo) →
+#: spanning convoys per window
 WindowMap = Callable[
-    [list[tuple[int, int]], list[list[frozenset[int]]]], list[list[Convoy]]
+    [list[tuple[int, int]], list[list[frozenset[int]]], Memo], list[list[Convoy]]
 ]
 
 
@@ -84,12 +92,15 @@ def run_phases(
     ``extension_store`` maps the maximal spanning convoys to the store
     that extension and validation read. ``set_phase`` is told each phase
     name as it starts, so a metered store can attribute its reads.
-    Point counts are the executor's to fill in.
+    Point counts are the executor's to fill in. ``mine_windows``,
+    extension and validation are handed one new :data:`Memo`, which
+    lives only as long as this call.
     """
     # k is checked by hop_length when the benchmark points are laid out.
     if not (m >= 1 and math.isfinite(eps) and eps > 0):
         raise ValueError(f"need m >= 1 and a finite eps > 0 (got m={m}, eps={eps})")
     times: dict[str, float] = {}
+    memo: Memo = {}
 
     def phase(name: str):
         if set_phase is not None:
@@ -111,7 +122,7 @@ def run_phases(
     done(p)
 
     p = phase("hwmt")
-    spanning = mine_windows(windows, ccs)
+    spanning = mine_windows(windows, ccs, memo)
     n_spanning = sum(len(s) for s in spanning)
     done(p)
 
@@ -121,16 +132,16 @@ def run_phases(
 
     p = phase("extend-right")
     store = extension_store(merged)
-    right = extend_right(store, merged, m, eps)
+    right = extend_right(store, merged, m, eps, memo)
     done(p)
 
     p = phase("extend-left")
-    extended = [v for v in extend_left(store, right, m, eps) if v.length >= k]
+    extended = [v for v in extend_left(store, right, m, eps, memo) if v.length >= k]
     done(p)
 
     if do_validate:
         p = phase("validation")
-        convoys = validate(store, extended, m, k, eps)
+        convoys = validate(store, extended, m, k, eps, memo)
         done(p)
     else:
         convoys = extended
@@ -164,8 +175,9 @@ def k2hop(
     res = run_phases(
         store.time_range(),
         lambda bpts: benchmark_cluster_sets(store, bpts, m, eps),
-        lambda windows, ccs: [
-            hwmt(store, w, cc, m, eps) if cc else [] for w, cc in zip(windows, ccs)
+        lambda windows, ccs, memo: [
+            hwmt(store, w, cc, m, eps, memo) if cc else []
+            for w, cc in zip(windows, ccs)
         ],
         lambda merged: store,
         m,

@@ -31,6 +31,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.clustering import Memo
 from repro.core.convoy import Convoy
 from repro.core.hwmt import hwmt
 from repro.core.k2hop import K2HopResult, run_phases
@@ -68,9 +69,10 @@ def k2hop_spark(
         return {b: found.get(b, []) for b in bpts}
 
     def mine_windows(
-        windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]]
+        windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]], _memo: Memo
     ) -> list[list[Convoy]]:
-        """HWMT per hop-window over the pruned (window, oid) join."""
+        """HWMT per hop-window over the pruned (window, oid) join. It runs
+        on the workers, so only extension and validation share the memo."""
         cand_rows = [
             (i, int(oid), int(lo), int(hi))
             for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))

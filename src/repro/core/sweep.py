@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.clustering import meps_clusters
+from repro.core.clustering import Memo, meps_clusters
 from repro.core.convoy import Convoy, antichain
 from repro.stores.base import TrajectoryStore
 
@@ -81,12 +81,23 @@ def store_cluster_seq(
     t_range: tuple[int, int] | None = None,
     objs: frozenset[int] | None = None,
     mode: str = "grid",
+    memo: Memo | None = None,
 ) -> Iterator[tuple[int, list[frozenset[int]]]]:
     """Per-timestamp (m,eps)-clusters from a store, optionally restricted
-    to a time range and/or an object set (DB[T]|O in paper notation)."""
+    to a time range and/or an object set (DB[T]|O in paper notation).
+
+    A restricted timestamp already in ``memo`` is neither read nor
+    clustered again; a new one is added to it.
+    """
     ts, te = t_range if t_range is not None else store.time_range()
+    if objs is None:
+        for t in range(ts, te + 1):
+            yield t, meps_clusters(*store.snapshot(t), m, eps, mode=mode)
+        return
+    memo = {} if memo is None else memo
     for t in range(ts, te + 1):
-        oids, xy = (
-            store.snapshot(t) if objs is None else store.points(t, objs)
-        )
-        yield t, meps_clusters(oids, xy, m, eps, mode=mode)
+        key = (t, objs)
+        if key not in memo:
+            oids, xy = store.points(t, objs)
+            memo[key] = meps_clusters(oids, xy, m, eps, mode=mode)
+        yield t, memo[key]

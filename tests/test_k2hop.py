@@ -9,6 +9,7 @@ from repro.baselines.bruteforce import brute_force_fc_convoys
 from repro.baselines.vcoda import vcoda, vcoda_star
 from repro.core.convoy import convoy
 from repro.core.k2hop import k2hop
+from repro.core.validate import validate
 from repro.stores import FileStore, LSMTStore, MeteredStore, RDBMSStore
 from repro.synth_data import convoy_scene
 from repro.testkit import EPS, scene_from_groups
@@ -221,3 +222,49 @@ class TestEdgeCases:
         assert convoy([0, 1, 2], 0, 9) in got
         assert convoy([3, 4, 5], 4, 9) in got
         assert convoy([2, 3, 4], 10, 13) in got
+
+
+def _two_phase_scene(gap=None):
+    """{0..4} together on [0, 6], then {0, 1, 2} on [7, 12], of a 16-step
+    timeline; at timestamp ``gap`` nobody is together."""
+    groups = {
+        t: [] if t == gap else [[0, 1, 2, 3, 4]] if t <= 6 else [[0, 1, 2]] if t <= 12 else []
+        for t in range(16)
+    }
+    return scene_from_groups(groups, list(range(8)))
+
+
+class TestReclusterMemo:
+    """One query reads and clusters each restricted (t, objects) once, and
+    nothing of one query's memo reaches another."""
+
+    def test_query_reads_each_restriction_once(self):
+        reads = []
+
+        class SpyStore(FileStore):
+            def points(self, t, oids):
+                reads.append((t, frozenset(oids)))
+                return super().points(t, oids)
+
+        store = SpyStore(_two_phase_scene())
+        got = k2hop(store, 3, 4, EPS).convoys
+        assert got == [convoy([0, 1, 2, 3, 4], 0, 6), convoy([0, 1, 2], 0, 12)]
+        assert len(reads) == len(set(reads))
+        # Validation without the query's memo re-reads restrictions that
+        # HWMT and extension had read: the memo is what spared them.
+        query_reads = set(reads)
+        pre = k2hop(store, 3, 4, EPS, do_validate=False).convoys
+        reads.clear()
+        assert validate(store, pre, 3, 4, EPS) == got
+        assert set(reads) & query_reads
+
+    def test_queries_share_nothing(self):
+        # Same objects and timestamps, so the two stores' restrictions have
+        # the same (t, objects) keys; eps = 60 joins the scattered objects.
+        a = FileStore(_two_phase_scene())
+        b = FileStore(_two_phase_scene(gap=5))
+        queries = [(a, EPS), (b, EPS), (b, 60.0), (a, 60.0), (a, EPS)]
+        got = [k2hop(store, 3, 4, eps).convoys for store, eps in queries]
+        fresh = [brute_force_fc_convoys(store, 3, 4, eps) for store, eps in queries]
+        assert got == fresh
+        assert got[0] != got[1]

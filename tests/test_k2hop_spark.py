@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.bruteforce import brute_force_fc_convoys
 from repro.core.k2hop import k2hop
 from repro.core.k2hop_spark import k2hop_spark
 from repro.stores import FileStore
@@ -58,6 +59,20 @@ class TestK2HopSpark:
         assert res.n_spanning == 0
         # Only the benchmark snapshots were ever scanned.
         assert res.points_scanned == len(df) * len(range(0, 30, 4)) // 30
+
+    def test_queries_in_one_session_share_nothing(self, spark):
+        # Two frames with the same (t, oid) keys and two eps: every query
+        # runs on the session's reused Python workers and must equal the
+        # sequential result, itself checked against brute force.
+        def frame(gap):
+            groups = {t: [] if t == gap else [[0, 1, 2]] for t in range(16)}
+            return scene_from_groups(groups, list(range(6)))
+
+        a, b = frame(None), frame(7)
+        for df, eps in [(a, EPS), (b, EPS), (b, 60.0), (a, EPS)]:
+            seq = k2hop(FileStore(df), 3, 4, eps).convoys
+            assert seq == brute_force_fc_convoys(FileStore(df), 3, 4, eps)
+            assert k2hop_spark(spark, spark.createDataFrame(df), 3, 4, eps).convoys == seq
 
     def test_pruning_accounting(self, spark):
         df, _ = convoy_scene(

@@ -79,6 +79,16 @@ class TestStoreInterface:
         order = np.argsort(oids)
         np.testing.assert_allclose(xy[order], exp[["x", "y"]].to_numpy())
 
+    @pytest.mark.parametrize("t", [3, 15])
+    def test_points_in_oid_order(self, store, t):
+        # DBSCAN's border ownership follows row order, so the order of the
+        # request must not leak into the rows.
+        want = [999, 23, 17, 5, 3, 1, 0, -4]  # 999 and -4 never exist
+        oids, xy = store.points(t, want)
+        exp = DF[(DF.t == t) & DF.oid.isin(want)].sort_values("oid")
+        assert oids.tolist() == exp.oid.tolist()
+        np.testing.assert_allclose(xy, exp[["x", "y"]].to_numpy())
+
     def test_points_empty_request(self, store):
         oids, xy = store.points(3, [])
         assert len(oids) == 0 and xy.shape == (0, 2)
