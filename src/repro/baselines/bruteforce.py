@@ -46,10 +46,10 @@ def brute_force_convoys(
 def _is_fc(store: TrajectoryStore, v: Convoy, m: int, eps: float) -> bool:
     """(O,T) is FC iff O is one whole (m,eps)-cluster of DB[t]|O ∀t∈T."""
     for t in range(v.ts, v.te + 1):
-        oids, xy = store.points(t, v.objs)
-        if len(oids) < len(v.objs):
+        keys, xy = store.points([t], [v.objs])
+        if len(keys) < len(v.objs):
             return False
-        if v.objs not in meps_clusters(oids, xy, m, eps):
+        if v.objs not in meps_clusters(keys[:, 1], xy, m, eps):
             return False
     return True
 
@@ -61,7 +61,7 @@ def brute_force_fc_convoys(
     subset (size ≥ m) and every interval (length ≥ k)."""
     ts, te = store.time_range()
     all_objs = sorted(
-        {int(o) for t in range(ts, te + 1) for o in store.snapshot(t)[0]}
+        {int(o) for t in range(ts, te + 1) for o in store.snapshot([t])[0][:, 1]}
     )
     found: set[Convoy] = set()
     for r in range(m, len(all_objs) + 1):

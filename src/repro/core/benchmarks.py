@@ -20,6 +20,8 @@ mutually disjoint — no dedup is needed.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.clustering import meps_clusters
 from repro.stores.base import TrajectoryStore
 
@@ -50,9 +52,14 @@ def hop_windows(bpts: list[int]) -> list[tuple[int, int]]:
 def benchmark_cluster_sets(
     store: TrajectoryStore, bpts: list[int], m: int, eps: float
 ) -> dict[int, list[frozenset[int]]]:
-    """Fully cluster each benchmark snapshot → {b_i: [(m,eps)-clusters]}."""
+    """Fully cluster each benchmark snapshot → {b_i: [(m,eps)-clusters]}.
+
+    All the snapshots are read in one store call."""
+    keys, xy = store.snapshot(bpts)
+    lo = np.searchsorted(keys[:, 0], bpts, "left")
+    hi = np.searchsorted(keys[:, 0], bpts, "right")
     return {
-        b: meps_clusters(*store.snapshot(b), m, eps) for b in bpts
+        b: meps_clusters(keys[a:z, 1], xy[a:z], m, eps) for b, a, z in zip(bpts, lo, hi)
     }
 
 

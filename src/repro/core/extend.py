@@ -13,49 +13,65 @@ After the right pass, the left pass extends the right-closed convoys
 toward ``Ts``. Only then is the minimum-length constraint k applied:
 a convoy that fails k after the right pass may still reach k by growing
 left, so the filter must wait (paper §4.5).
+
+Convoys extend independently, so a pass advances all of them in
+lockstep: each round takes every convoy's frontier one timestamp
+further, and the round's restrictions are read in one batched store call
+(:func:`~repro.core.hwmt.recluster`). A convoy still reads only the
+timestamps it would read alone, and stops where it would alone.
 """
 from __future__ import annotations
 
 from repro.core.clustering import Memo
 from repro.core.convoy import Convoy, antichain, update
-from repro.core.hwmt import recluster_at
+from repro.core.hwmt import recluster
 from repro.stores.base import TrajectoryStore
 
 
-def _extend_one(
+def _extend(
     store: TrajectoryStore,
-    v0: Convoy,
+    convoys: list[Convoy],
     m: int,
     eps: float,
     direction: int,
     t_stop: int,
-    result: set[Convoy],
     memo: Memo | None,
-) -> None:
-    """Extend one convoy right (direction=+1) or left (−1) until t_stop.
+) -> list[Convoy]:
+    """Extend every convoy right (direction=+1) or left (−1) until t_stop.
 
-    Every branch of the frontier ends (right) or starts (left) at the
-    last timestamp reclustered, so :func:`antichain` keeps exactly the
-    branches whose extensions can still be maximal.
+    Each convoy keeps its own frontier of branches and the timestamp
+    they reach next. Every branch of a frontier ends (right) or starts
+    (left) at the last timestamp reclustered, so :func:`antichain` keeps
+    exactly the branches whose extensions can still be maximal.
     """
-    prev = {v0}
-    t = (v0.te if direction > 0 else v0.ts) + direction
-    while prev and (t <= t_stop if direction > 0 else t >= t_stop):
-        grown: list[Convoy] = []
-        for v in prev:
-            clusters = recluster_at(store, t, [v.objs], m, eps, memo)
-            if v.objs not in clusters:  # did not survive in its current shape
-                update(result, v)
-            grown += [
-                Convoy(ts=v.ts, te=t, objs=c)
-                if direction > 0
-                else Convoy(ts=t, te=v.te, objs=c)
-                for c in clusters
-            ]
-        prev = antichain(grown)
-        t += direction
-    for v in prev:  # ran off the dataset edge
-        update(result, v)
+    result: set[Convoy] = set()
+    fronts = [((v.te if direction > 0 else v.ts) + direction, {v}) for v in convoys]
+    while fronts:
+        live = []
+        for t, prev in fronts:
+            if t <= t_stop if direction > 0 else t >= t_stop:
+                live.append((t, prev))
+            else:  # ran off the dataset edge
+                for v in prev:
+                    update(result, v)
+        keys = [(t, v.objs) for t, prev in live for v in prev]
+        found = iter(recluster(store, keys, m, eps, memo))
+        fronts = []
+        for t, prev in live:
+            grown: list[Convoy] = []
+            for v in prev:
+                clusters = next(found)
+                if v.objs not in clusters:  # did not survive in its current shape
+                    update(result, v)
+                grown += [
+                    Convoy(ts=v.ts, te=t, objs=c)
+                    if direction > 0
+                    else Convoy(ts=t, te=v.te, objs=c)
+                    for c in clusters
+                ]
+            if grown:
+                fronts.append((t + direction, antichain(grown)))
+    return sorted(result)
 
 
 def extend_right(
@@ -67,10 +83,7 @@ def extend_right(
 ) -> list[Convoy]:
     """Algorithm 3: extend every convoy to its right-closed forms."""
     _ts, te = store.time_range()
-    result: set[Convoy] = set()
-    for v in convoys:
-        _extend_one(store, v, m, eps, +1, te, result, memo)
-    return sorted(result)
+    return _extend(store, convoys, m, eps, +1, te, memo)
 
 
 def extend_left(
@@ -82,10 +95,7 @@ def extend_left(
 ) -> list[Convoy]:
     """Symmetric left pass, from ts(v)−1 down to Ts."""
     ts, _te = store.time_range()
-    result: set[Convoy] = set()
-    for v in convoys:
-        _extend_one(store, v, m, eps, -1, ts, result, memo)
-    return sorted(result)
+    return _extend(store, convoys, m, eps, -1, ts, memo)
 
 
 def extend(

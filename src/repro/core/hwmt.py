@@ -12,12 +12,24 @@ are the input at (2,2)), exactly as the paper's Table 2 walks through
 its Figure 6 example; Algorithm 2's pseudocode is ambiguous between
 per-timestamp and per-level chaining, but both yield the same final
 cluster set — chaining per timestamp simply prunes faster.
+
+Hop-windows are independent (the property the paper points to for
+distribution), so :func:`hwmt` advances all of a query's windows in
+lockstep: each round takes every live window one bisection timestamp
+further, and the round's restrictions are read in one batched store call
+(:func:`recluster`). A window still reads only the timestamps it would
+read alone, and stops at the first one that kills all its candidates.
 """
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 from repro.core.clustering import Memo, meps_clusters
 from repro.core.convoy import Convoy
 from repro.stores.base import TrajectoryStore
+
+#: a restriction DB[t]|O of the dataset, as (t, O)
+Key = tuple[int, frozenset[int]]
 
 
 def hwmt_order(lo: int, hi: int) -> list[list[int]]:
@@ -44,52 +56,65 @@ def hwmt_order(lo: int, hi: int) -> list[list[int]]:
     return levels
 
 
-def recluster_at(
+def recluster(
     store: TrajectoryStore,
-    t: int,
-    groups: list[frozenset[int]],
+    keys: Sequence[Key],
     m: int,
     eps: float,
     memo: Memo | None = None,
-) -> list[frozenset[int]]:
-    """reCluster(DB[t]|O(g)) for each candidate group g → surviving clusters.
+    cluster: Callable[..., list[frozenset[int]]] | None = None,
+) -> list[list[frozenset[int]]]:
+    """reCluster(DB[t]|O) for every key (t, O) → its (m,eps)-clusters, in
+    key order.
 
-    Each group is reclustered restricted to its own objects; results are
-    the union of per-group (m,eps)-clusters. Input groups are disjoint,
-    so outputs stay disjoint. A group already in ``memo`` is neither
-    read nor clustered again; a new one is added to it.
+    A key already in ``memo`` is neither read nor clustered again. The
+    others are read in one store call, and each is clustered on its own
+    rows, in ``oid`` order, then added to the memo. ``cluster`` is called
+    as ``cluster(oids, xy, m, eps)``; it defaults to :func:`meps_clusters`
+    as this module names it, and a caller passes its own name for it so
+    that the clustering stays attributed to that caller.
     """
     memo = {} if memo is None else memo
-    out: list[frozenset[int]] = []
-    for g in groups:
-        key = (t, g)
-        if key not in memo:
-            oids, xy = store.points(t, g)
-            memo[key] = meps_clusters(oids, xy, m, eps)
-        out.extend(memo[key])
-    return out
+    cluster = meps_clusters if cluster is None else cluster
+    todo = list(dict.fromkeys(key for key in keys if key not in memo))
+    if todo:
+        got, xy = store.points([t for t, _objs in todo], [objs for _t, objs in todo])
+        row = {key: i for i, key in enumerate(map(tuple, got.tolist()))}
+        for t, objs in todo:
+            rows = [row[t, o] for o in sorted(objs) if (t, o) in row]
+            memo[t, objs] = cluster(got[rows, 1], xy[rows], m, eps)
+    return [memo[key] for key in keys]
 
 
 def hwmt(
     store: TrajectoryStore,
-    window: tuple[int, int],
-    cc: list[frozenset[int]],
+    windows: Sequence[tuple[int, int]],
+    ccs: Sequence[list[frozenset[int]]],
     m: int,
     eps: float,
     memo: Memo | None = None,
-) -> list[Convoy]:
-    """Mine the 1st-order spanning convoys of one hop-window.
+) -> list[list[Convoy]]:
+    """Mine the 1st-order spanning convoys of every hop-window.
 
-    ``cc`` is the window's candidate cluster set (already size-filtered).
-    Returns spanning convoys with lifespan set to the *bordering
-    benchmark points* [b_i, b_{i+1}] (Algorithm 2 line 11). Empty as
-    soon as any timestamp kills all candidates.
+    ``ccs[i]`` is window ``i``'s candidate cluster set (already
+    size-filtered). Returns, per window, its spanning convoys with
+    lifespan set to the *bordering benchmark points* [b_i, b_{i+1}]
+    (Algorithm 2 line 11): none as soon as one timestamp kills all its
+    candidates. Every round reclusters each live window's candidates at
+    its next bisection timestamp, all windows in one :func:`recluster`.
     """
-    bi, bi1 = window
-    groups = list(cc)
-    for level in hwmt_order(bi, bi1):
-        for t in level:
-            groups = recluster_at(store, t, groups, m, eps, memo)
-            if not groups:
-                return []
-    return [Convoy(ts=bi, te=bi1, objs=g) for g in groups]
+    orders = [[t for level in hwmt_order(*w) for t in level] for w in windows]
+    groups = [list(cc) for cc in ccs]
+    live = [i for i, g in enumerate(groups) if g]
+    step = 0
+    while live := [i for i in live if step < len(orders[i])]:
+        keys = [(orders[i][step], g) for i in live for g in groups[i]]
+        found = iter(recluster(store, keys, m, eps, memo))
+        for i in live:
+            groups[i] = [c for _g in groups[i] for c in next(found)]
+        live = [i for i in live if groups[i]]
+        step += 1
+    return [
+        [Convoy(ts=bi, te=bi1, objs=g) for g in gs]
+        for (bi, bi1), gs in zip(windows, groups)
+    ]

@@ -19,8 +19,10 @@ to the three phases, so a query reads and clusters each restricted
 Phases 1 and 3 are embarrassingly parallel (per snapshot, per
 hop-window), so an executor supplies only those two maps plus the store
 that extension and validation read. :func:`k2hop` is the sequential
-executor over a :class:`TrajectoryStore`; ``core/k2hop_spark.py`` runs
-the two maps as Spark jobs.
+executor over a :class:`TrajectoryStore`: it reads all benchmark
+snapshots in one store call, and HWMT and extension advance all windows
+and convoys in lockstep rounds with one store call per round.
+``core/k2hop_spark.py`` runs the two maps as Spark jobs.
 
 Every phase is timed, and when the store is a :class:`MeteredStore` the
 point reads are attributed per phase — together these produce the
@@ -175,10 +177,7 @@ def k2hop(
     res = run_phases(
         store.time_range(),
         lambda bpts: benchmark_cluster_sets(store, bpts, m, eps),
-        lambda windows, ccs, memo: [
-            hwmt(store, w, cc, m, eps, memo) if cc else []
-            for w, cc in zip(windows, ccs)
-        ],
+        lambda windows, ccs, memo: hwmt(store, windows, ccs, m, eps, memo),
         lambda merged: store,
         m,
         k,

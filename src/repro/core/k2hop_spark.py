@@ -93,7 +93,7 @@ def k2hop_spark(
                 # A window's groups are disjoint, so its rows have unique
                 # (t, oid) keys unless the input has duplicates.
                 w = int(pdf["window"].iloc[0])
-                spanning = hwmt(FileStore(pdf), windows[w], ccs[w], m, eps)
+                spanning = hwmt(FileStore(pdf), [windows[w]], [ccs[w]], m, eps)[0]
                 return convoy_frame("window", w, spanning)
 
             found = collect_convoys(
@@ -104,7 +104,7 @@ def k2hop_spark(
         # candidate point inside. HWMT over no points says which: nothing,
         # unless the window has no interior and its candidates span it.
         return [
-            found.get(i) or hwmt(_NO_POINTS, w, cc, m, eps)
+            found.get(i) or hwmt(_NO_POINTS, [w], [cc], m, eps)[0]
             for i, (w, cc) in enumerate(zip(windows, ccs))
         ]
 

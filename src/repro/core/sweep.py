@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 
 from repro.core.clustering import Memo, meps_clusters
 from repro.core.convoy import Convoy, antichain
+from repro.core.hwmt import recluster
 from repro.stores.base import TrajectoryStore
 
 
@@ -86,18 +87,21 @@ def store_cluster_seq(
     """Per-timestamp (m,eps)-clusters from a store, optionally restricted
     to a time range and/or an object set (DB[T]|O in paper notation).
 
-    A restricted timestamp already in ``memo`` is neither read nor
-    clustered again; a new one is added to it.
+    Unrestricted, each snapshot is read when the sequence reaches it.
+    Restricted, the whole range is one :func:`recluster`: the timestamps
+    already in ``memo`` are neither read nor clustered again, the rest
+    are read in one store call and added to it.
     """
     ts, te = t_range if t_range is not None else store.time_range()
     if objs is None:
         for t in range(ts, te + 1):
-            yield t, meps_clusters(*store.snapshot(t), m, eps, mode=mode)
+            keys, xy = store.snapshot([t])
+            yield t, meps_clusters(keys[:, 1], xy, m, eps, mode=mode)
         return
-    memo = {} if memo is None else memo
-    for t in range(ts, te + 1):
-        key = (t, objs)
-        if key not in memo:
-            oids, xy = store.points(t, objs)
-            memo[key] = meps_clusters(oids, xy, m, eps, mode=mode)
-        yield t, memo[key]
+
+    def cluster(*args):  # this module's meps_clusters, looked up when it runs
+        return meps_clusters(*args, mode=mode)
+
+    times = range(ts, te + 1)
+    keys = [(t, objs) for t in times]
+    yield from zip(times, recluster(store, keys, m, eps, memo, cluster))

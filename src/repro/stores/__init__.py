@@ -1,9 +1,10 @@
 """Persistent storage substrates for trajectory data (paper Section 5).
 
-k/2-hop needs exactly two access paths:
+k/2-hop needs exactly two access paths, both batched:
 
-1. full snapshot scans at benchmark timestamps, and
-2. (t, oid) point reads for candidate objects inside hop-windows.
+1. full snapshot scans at (many) benchmark timestamps, and
+2. (t, oid) point reads for (many) candidate object sets, each at its
+   own timestamp.
 
 Each backend realizes both:
 

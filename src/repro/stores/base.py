@@ -5,13 +5,14 @@ integer timestamps and integer object ids. A snapshot is all points at
 one timestamp.
 
 The in-memory and LSM-tree stores keep the relation as *runs*: record
-arrays sorted by the paper's §5.2 key ``(t, oid)``. A snapshot is then
-one binary-searched slice (:func:`read`), and runs written at different
-times combine by one newest-wins merge (:func:`merge`).
+arrays sorted by the paper's §5.2 key ``(t, oid)``. A read is then one
+binary-searched slice per timestamp (:func:`read`), and runs written at
+different times combine by one newest-wins merge (:func:`merge`).
 """
 from __future__ import annotations
 
-from typing import Iterable, Protocol, runtime_checkable
+from itertools import chain
+from typing import Collection, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import pandas as pd
@@ -26,18 +27,28 @@ RECORD = np.dtype([("t", "<i8"), ("oid", "<i8"), ("xy", "<f8", (2,))])
 
 @runtime_checkable
 class TrajectoryStore(Protocol):
-    """Read interface over a trajectory dataset."""
+    """Read interface over a trajectory dataset.
+
+    Both reads are batched: one call serves many timestamps, or many
+    ``(t, objects)`` restrictions, and returns ``(keys, xy)`` — ``keys``
+    int64 ``[n, 2]`` of ``(t, oid)`` and ``xy`` float64 ``[n, 2]`` — with
+    every stored point at most once, in ``(t, oid)`` order.
+    """
 
     def time_range(self) -> tuple[int, int]:
         """(Ts, Te): first and last timestamp present in the dataset."""
         ...
 
-    def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """All points at time ``t`` → (oids int64 [n], xy float64 [n,2])."""
+    def snapshot(self, t: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """All points at the timestamps ``t``."""
         ...
 
-    def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Points of the given objects at time ``t`` (absent ones omitted)."""
+    def points(
+        self, t: Sequence[int], oids: Sequence[Collection[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The points of the objects ``oids[i]`` at time ``t[i]``, for every
+        ``i``; a point two restrictions share comes back once, and absent
+        ones are omitted."""
         ...
 
     def total_points(self) -> int:
@@ -89,14 +100,42 @@ def to_run(df: pd.DataFrame) -> np.ndarray:
     return run
 
 
-def read(run: np.ndarray, t: int, oids: Iterable[int] | None = None) -> np.ndarray:
-    """The records of ``run`` at timestamp ``t`` — one binary-searched
-    slice — optionally only those of ``oids``."""
-    lo, hi = np.searchsorted(run["t"], [t, t + 1])
-    seg = np.asarray(run[lo:hi])  # a plain view: memmap subclasses slow every later op
-    if oids is None or not len(seg):
-        return seg
-    return seg[np.isin(seg["oid"], np.fromiter(oids, dtype=np.int64))]
+def read(
+    run: np.ndarray, t: Sequence[int], oids: Sequence[Collection[int]] | None = None
+) -> np.ndarray:
+    """The records of ``run`` at the timestamps ``t`` or, given ``oids``,
+    of the objects ``oids[i]`` at ``t[i]``: each record once, in (t, oid)
+    order, from one binary-searched slice per distinct timestamp."""
+    run = np.asarray(run)  # a plain view: memmap subclasses slow every later op
+    no_rows = [np.empty(0, dtype=np.int64)]
+    if oids is None:
+        ts = np.unique(np.asarray(t, dtype=np.int64))
+        lo, hi = np.searchsorted(run["t"], ts, "left"), np.searchsorted(run["t"], ts, "right")
+        return run[np.concatenate(no_rows + [np.arange(a, b) for a, b in zip(lo, hi)])]
+    # The (t[i], o) keys for every o in oids[i], sorted like the run: a
+    # timestamp's keys are adjacent and in oid order.
+    n = [len(o) for o in oids]
+    kt = np.repeat(np.asarray(t, dtype=np.int64), n)
+    ko = np.fromiter(chain.from_iterable(oids), dtype=np.int64, count=sum(n))
+    order = np.lexsort((ko, kt))
+    kt, ko = kt[order], ko[order]
+    ts, first = np.unique(kt, return_index=True)
+    lo, hi = np.searchsorted(run["t"], ts, "left"), np.searchsorted(run["t"], ts, "right")
+    # Each key's slot in its timestamp's slice; the key is stored if the
+    # slot holds it.
+    oid = run["oid"]
+    pos = np.concatenate(no_rows + [
+        a + np.searchsorted(oid[a:b], want)
+        for a, b, want in zip(lo, hi, np.split(ko, first[1:]))
+    ])
+    hit = pos < np.repeat(hi, np.diff(np.append(first, len(kt))))
+    hit[hit] = oid[pos[hit]] == ko[hit]
+    return run[np.unique(pos[hit])]  # a key asked twice is one record
+
+
+def columns(run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A run as the ``(keys, xy)`` pair the stores return."""
+    return np.column_stack([run["t"], run["oid"]]), run["xy"]
 
 
 def merge(runs: list[np.ndarray]) -> np.ndarray:

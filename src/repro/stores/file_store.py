@@ -1,19 +1,19 @@
 """In-memory flat-file store (the paper's ``k2-File`` variant).
 
 Models loading the whole flat file into memory once, as one run sorted
-by (t, oid) (:mod:`repro.stores.base`): a snapshot is one binary-searched
-slice, a point read filters it to the wanted oids. Fast when the dataset
+by (t, oid) (:mod:`repro.stores.base`): a read takes one binary-searched
+slice per timestamp, and a point read filters each to the wanted oids. Fast when the dataset
 fits in RAM, which is exactly the regime where the paper finds k2-File
 competitive (Trucks dataset).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Sequence
 
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import read, to_run, validate_frame
+from repro.stores.base import columns, read, to_run, validate_frame
 
 
 class FileStore:
@@ -27,13 +27,13 @@ class FileStore:
     def time_range(self) -> tuple[int, int]:
         return self._range
 
-    def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        run = read(self._run, t)
-        return run["oid"], run["xy"]
+    def snapshot(self, t: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return columns(read(self._run, t))
 
-    def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        run = read(self._run, t, oids)
-        return run["oid"], run["xy"]
+    def points(
+        self, t: Sequence[int], oids: Sequence[Collection[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return columns(read(self._run, t, oids))
 
     def total_points(self) -> int:
         return len(self._run)

@@ -18,19 +18,20 @@ This module implements that structure over the local filesystem:
 
 Compaction, reads, ``time_range`` and the point count are each one
 newest-wins :func:`~repro.stores.base.merge` over the runs (oldest
-first) and the memtable: of every run's slice at ``t``, of its end
-records, or of everything (once per store state).
+first) and the memtable: of every run's records at the requested
+timestamps or keys, of its end records, or of everything (once per
+store state).
 """
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Sequence
 
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import RECORD, merge, read, to_run, validate_frame
+from repro.stores.base import RECORD, columns, merge, read, to_run, validate_frame
 
 
 class LSMTStore:
@@ -108,15 +109,18 @@ class LSMTStore:
         self._runs.append(np.memmap(path, dtype=RECORD, mode="r"))
 
     # -------------------------------------------------------------- read
-    def _read(self, t: int, oids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        run = merge([read(r, t, oids) for r in self._runs + [self._memtable_run()]])
-        return run["oid"], run["xy"]
+    def _read(
+        self, t: Sequence[int], oids: Sequence[Collection[int]] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return columns(merge([read(r, t, oids) for r in self._runs + [self._memtable_run()]]))
 
-    def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._read(int(t))
+    def snapshot(self, t: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return self._read(t)
 
-    def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        return self._read(int(t), np.fromiter(oids, dtype=np.int64))
+    def points(
+        self, t: Sequence[int], oids: Sequence[Collection[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self._read(t, oids)
 
     # ------------------------------------------------------------- stats
     def time_range(self) -> tuple[int, int]:

@@ -8,7 +8,7 @@ points the algorithm reads (benchmark snapshot scans + HWMT / extension
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -16,7 +16,10 @@ from repro.stores.base import TrajectoryStore
 
 
 class MeteredStore:
-    """Delegating store that counts points returned, bucketed by phase."""
+    """Delegating store that counts points returned, bucketed by phase.
+
+    A batched read returns each point once, so a point two restrictions
+    of one call share counts once."""
 
     def __init__(self, inner: TrajectoryStore):
         self._inner = inner
@@ -31,15 +34,17 @@ class MeteredStore:
     def time_range(self) -> tuple[int, int]:
         return self._inner.time_range()
 
-    def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        oids, xy = self._inner.snapshot(t)
-        self.reads[self._phase] += len(oids)
-        return oids, xy
+    def snapshot(self, t: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        keys, xy = self._inner.snapshot(t)
+        self.reads[self._phase] += len(keys)
+        return keys, xy
 
-    def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        got, xy = self._inner.points(t, oids)
-        self.reads[self._phase] += len(got)
-        return got, xy
+    def points(
+        self, t: Sequence[int], oids: Sequence[Collection[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        keys, xy = self._inner.points(t, oids)
+        self.reads[self._phase] += len(keys)
+        return keys, xy
 
     def total_points(self) -> int:
         return self._inner.total_points()

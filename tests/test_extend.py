@@ -1,5 +1,7 @@
 """Extension-phase tests (Algorithm 3 and the left pass)."""
-from repro.core.convoy import convoy
+import pytest
+
+from repro.core.convoy import antichain, convoy
 from repro.core.extend import extend, extend_left, extend_right
 from repro.stores import FileStore
 from repro.testkit import EPS, scene_from_groups
@@ -85,3 +87,65 @@ class TestExtendPipeline:
         store = _store(groups, T=7)
         got = extend(store, [convoy(ABC, 3, 5)], 3, 6, EPS)
         assert got == [convoy(ABC, 0, 5)]
+
+
+class TestLockstep:
+    """Several convoys extend in lockstep rounds, each as it would alone."""
+
+    @staticmethod
+    def _scene():
+        # {0..4} on [4, 7] inside {0,1,2} on [0, 11]; 3 and 4 then join 5
+        # on [8, 11]; {6,7,8} on [2, 10]; nobody is together at 12 and 13.
+        groups = {}
+        for t in range(14):
+            gs = []
+            if t <= 3 or 8 <= t <= 11:
+                gs.append([0, 1, 2])
+            if 4 <= t <= 7:
+                gs.append([0, 1, 2, 3, 4])
+            if 8 <= t <= 11:
+                gs.append([3, 4, 5])
+            if 2 <= t <= 10:
+                gs.append([6, 7, 8])
+            groups[t] = gs
+        return scene_from_groups(groups, list(range(10)))
+
+    CONVOYS = [
+        convoy([0, 1, 2, 3, 4], 4, 6),
+        convoy([0, 1, 2], 4, 5),
+        convoy([6, 7, 8], 5, 6),
+        convoy([3, 4, 5], 9, 9),
+    ]
+
+    @pytest.mark.parametrize("extend_pass", [extend_right, extend_left])
+    def test_equals_each_convoy_alone(self, extend_pass):
+        store = FileStore(self._scene())
+        alone = antichain(v for c in self.CONVOYS for v in extend_pass(store, [c], 3, EPS))
+        assert extend_pass(store, self.CONVOYS, 3, EPS) == sorted(alone)
+
+    def test_right_pass_reaches_every_end(self):
+        store = FileStore(self._scene())
+        assert set(extend_right(store, self.CONVOYS, 3, EPS)) == {
+            convoy([0, 1, 2, 3, 4], 4, 7),
+            convoy([0, 1, 2], 4, 11),
+            convoy([6, 7, 8], 5, 10),
+            convoy([3, 4, 5], 9, 11),
+        }
+
+    @pytest.mark.parametrize("extend_pass", [extend_right, extend_left])
+    def test_one_points_call_per_round(self, extend_pass):
+        calls = []
+
+        class SpyStore(FileStore):
+            def points(self, t, oids):
+                calls.append(sorted(set(t)))
+                return super().points(t, oids)
+
+        extend_pass(SpyStore(self._scene()), self.CONVOYS, 3, EPS)
+        # Each round moves every live frontier one timestamp on: the
+        # timestamps of one call are the convoys' next ones.
+        step = 1 if extend_pass is extend_right else -1
+        starts = sorted({(v.te if step > 0 else v.ts) + step for v in self.CONVOYS})
+        assert calls[0] == starts
+        for prev, cur in zip(calls, calls[1:]):
+            assert cur == sorted(cur) and {t - step for t in cur} <= set(prev)

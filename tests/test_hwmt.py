@@ -2,10 +2,9 @@
 full Table 2 / Figure 6 worked example."""
 import pytest
 
-from repro.core.benchmarks import candidate_clusters
+from repro.core.benchmarks import benchmark_cluster_sets, candidate_clusters
 from repro.core.convoy import Convoy
-from repro.core.hwmt import hwmt, hwmt_order, recluster_at
-from repro.core.clustering import meps_clusters
+from repro.core.hwmt import hwmt, hwmt_order, recluster
 from repro.stores import FileStore
 from repro.testkit import EPS, lset, scene_from_groups
 
@@ -54,8 +53,7 @@ def _table2_store():
 class TestTable2Example:
     def test_benchmark_clusters(self):
         store, abcd, xyz, mno = _table2_store()
-        c0 = meps_clusters(*store.snapshot(0), 3, EPS)
-        c8 = meps_clusters(*store.snapshot(8), 3, EPS)
+        c0, c8 = benchmark_cluster_sets(store, [0, 8], 3, EPS).values()
         assert sorted(c0, key=sorted) == sorted(
             [frozenset(range(10)), frozenset(xyz), frozenset(mno)], key=sorted
         )
@@ -65,8 +63,7 @@ class TestTable2Example:
 
     def test_cc1_is_intersection(self):
         store, abcd, xyz, _ = _table2_store()
-        c0 = meps_clusters(*store.snapshot(0), 3, EPS)
-        c8 = meps_clusters(*store.snapshot(8), 3, EPS)
+        c0, c8 = benchmark_cluster_sets(store, [0, 8], 3, EPS).values()
         cc1 = candidate_clusters(c0, c8, 3)
         assert sorted(cc1, key=sorted) == sorted(
             [frozenset(abcd), frozenset(xyz)], key=sorted
@@ -76,14 +73,13 @@ class TestTable2Example:
         # Table 2 step (1,1): reCluster(DB[4]|CC1) = {{a,b,c,d}}.
         store, abcd, xyz, _ = _table2_store()
         cc1 = [frozenset(abcd), frozenset(xyz)]
-        cc2 = recluster_at(store, 4, cc1, 3, EPS)
-        assert cc2 == [frozenset(abcd)]
+        assert recluster(store, [(4, g) for g in cc1], 3, EPS) == [[frozenset(abcd)], []]
 
     def test_full_hwmt_yields_spanning_abcd(self):
         store, abcd, *_ = _table2_store()
         cc1 = [frozenset(abcd), frozenset({23, 24, 25})]
-        out = hwmt(store, (0, 8), cc1, 3, EPS)
-        assert out == [Convoy(ts=0, te=8, objs=frozenset(abcd))]
+        out = hwmt(store, [(0, 8)], [cc1], 3, EPS)
+        assert out == [[Convoy(ts=0, te=8, objs=frozenset(abcd))]]
 
     def test_stepwise_survivors_match_table2(self):
         # Walk the table's (l, n) steps: after every recluster, the
@@ -91,32 +87,39 @@ class TestTable2Example:
         store, abcd, xyz, _ = _table2_store()
         groups = [frozenset(abcd), frozenset(xyz)]
         for t in [4, 2, 6, 1, 3, 5, 7]:
-            groups = recluster_at(store, t, groups, 3, EPS)
+            found = recluster(store, [(t, g) for g in groups], 3, EPS)
+            groups = [c for cs in found for c in cs]
             assert groups == [frozenset(abcd)], f"after t={t}"
+
+
+class SpyStore(FileStore):
+    """Records the (t, objects) restrictions of every ``points`` call."""
+
+    def __init__(self, df):
+        super().__init__(df)
+        self.calls = []
+
+    def points(self, t, oids):
+        self.calls.append(list(zip(t, map(frozenset, oids))))
+        return super().points(t, oids)
 
 
 class TestHwmtPruning:
     def test_abandons_window_on_first_dead_timestamp(self):
         # Candidates together at benchmarks but never inside the window:
         # the root recluster already returns [] and HWMT stops.
-        reads = []
-
-        class SpyStore(FileStore):
-            def points(self, t, oids):
-                reads.append(t)
-                return super().points(t, oids)
-
         groups = {t: [] for t in range(0, 9)}
         groups[0] = [[0, 1, 2]]
         groups[8] = [[0, 1, 2]]
         store = SpyStore(scene_from_groups(groups, list(range(5))))
-        out = hwmt(store, (0, 8), [frozenset({0, 1, 2})], 3, EPS)
-        assert out == []
-        assert reads == [4]  # only the root was ever touched
+        out = hwmt(store, [(0, 8)], [[frozenset({0, 1, 2})]], 3, EPS)
+        assert out == [[]]
+        assert store.calls == [[(4, frozenset({0, 1, 2}))]]  # only the root
 
     def test_empty_cc_short_circuits(self):
-        store, *_ = _table2_store()
-        assert hwmt(store, (0, 8), [], 3, EPS) == []
+        store = SpyStore(_three_window_frame())
+        assert hwmt(store, [(0, 8), (8, 16)], [[], []], 3, EPS) == [[], []]
+        assert store.calls == []
 
     def test_window_split_inside(self):
         # {a,b,c,d,e,f} at both benchmarks, but split {abc}/{def} at the
@@ -126,8 +129,63 @@ class TestHwmtPruning:
         for t in range(1, 8):
             groups[t] = [abc, df_]
         store = FileStore(scene_from_groups(groups, list(range(8))))
-        out = hwmt(store, (0, 8), [frozenset(range(6))], 3, EPS)
+        (out,) = hwmt(store, [(0, 8)], [[frozenset(range(6))]], 3, EPS)
         assert sorted(out) == [
             Convoy(ts=0, te=8, objs=frozenset(abc)),
             Convoy(ts=0, te=8, objs=frozenset(df_)),
         ]
+
+
+def _three_window_frame():
+    """Windows (0, 8), (8, 16) and (16, 24), each with one candidate:
+    {0,1,2} is together only at 0 and 8 (abandoned at the root),
+    {3,...,8} splits into {3,4,5} and {6,7,8} inside its window, and
+    {9,10,11} stays together throughout."""
+    groups = {t: [] for t in range(25)}
+    groups[0] = [[0, 1, 2]]
+    groups[8] = [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
+    groups[16] = [[3, 4, 5, 6, 7, 8], [9, 10, 11]]
+    for t in range(9, 16):
+        groups[t] = [[3, 4, 5], [6, 7, 8]]
+    for t in range(17, 25):
+        groups[t] = [[9, 10, 11]]
+    return scene_from_groups(groups, list(range(14)))
+
+
+class TestLockstep:
+    WINDOWS = [(0, 8), (8, 16), (16, 24)]
+    CCS = [[frozenset({0, 1, 2})], [frozenset(range(3, 9))], [frozenset({9, 10, 11})]]
+
+    def test_equals_each_window_alone(self):
+        store = FileStore(_three_window_frame())
+        together = hwmt(store, self.WINDOWS, self.CCS, 3, EPS)
+        alone = [hwmt(store, [w], [cc], 3, EPS)[0] for w, cc in zip(self.WINDOWS, self.CCS)]
+        assert together == alone
+        assert together[0] == []
+        assert sorted(together[1]) == [
+            Convoy(ts=8, te=16, objs=frozenset({3, 4, 5})),
+            Convoy(ts=8, te=16, objs=frozenset({6, 7, 8})),
+        ]
+        assert together[2] == [Convoy(ts=16, te=24, objs=frozenset({9, 10, 11}))]
+
+    def test_one_points_call_per_round(self):
+        store = SpyStore(_three_window_frame())
+        hwmt(store, self.WINDOWS, self.CCS, 3, EPS, memo={})
+        # Round r reads each live window at its r-th bisection timestamp
+        # (4 2 6 1 3 5 7 past each window's start): the first window dies
+        # at its root, the other two run all seven rounds.
+        assert [sorted({t for t, _objs in call}) for call in store.calls] == [
+            [4, 12, 20], [10, 18], [14, 22], [9, 17], [11, 19], [13, 21], [15, 23]
+        ]
+        keys = [key for call in store.calls for key in call]
+        assert len(keys) == len(set(keys))
+        # After the root splits {3,...,8}, its window reads both halves.
+        assert set(store.calls[1]) >= {(10, frozenset({3, 4, 5})), (10, frozenset({6, 7, 8}))}
+
+    def test_memo_hits_are_not_read(self):
+        store = SpyStore(_three_window_frame())
+        memo = {}
+        first = hwmt(store, self.WINDOWS, self.CCS, 3, EPS, memo)
+        store.calls.clear()
+        assert hwmt(store, self.WINDOWS, self.CCS, 3, EPS, memo) == first
+        assert store.calls == []

@@ -243,7 +243,7 @@ class TestReclusterMemo:
 
         class SpyStore(FileStore):
             def points(self, t, oids):
-                reads.append((t, frozenset(oids)))
+                reads.extend(zip(t, map(frozenset, oids)))
                 return super().points(t, oids)
 
         store = SpyStore(_two_phase_scene())
@@ -257,6 +257,30 @@ class TestReclusterMemo:
         reads.clear()
         assert validate(store, pre, 3, 4, EPS) == got
         assert set(reads) & query_reads
+
+    def test_one_store_call_per_round(self):
+        calls = {"snapshot": 0, "points": 0}
+        reads = []
+
+        class SpyStore(FileStore):
+            def snapshot(self, t):
+                calls["snapshot"] += 1
+                return super().snapshot(t)
+
+            def points(self, t, oids):
+                calls["points"] += 1
+                reads.extend(zip(t, map(frozenset, oids)))
+                return super().points(t, oids)
+
+        got = k2hop(SpyStore(_two_phase_scene()), 3, 4, EPS).convoys
+        assert got == [convoy([0, 1, 2, 3, 4], 0, 6), convoy([0, 1, 2], 0, 12)]
+        assert calls["snapshot"] == 1
+        assert len(reads) == len(set(reads))
+        # k = 4 makes every hop-window one timestamp wide inside: one HWMT
+        # round. The right pass takes {0..4} from 7 to 13, where {0,1,2}
+        # dies (7 rounds); the left pass starts at Ts (none). Validation
+        # reads once per candidate, and both candidates are FC (2).
+        assert calls["points"] <= 1 + 7 + 0 + 2
 
     def test_queries_share_nothing(self):
         # Same objects and timestamps, so the two stores' restrictions have

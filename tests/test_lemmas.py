@@ -8,8 +8,12 @@ import pytest
 
 from repro.baselines.bruteforce import brute_force_fc_convoys
 from repro.baselines.cmc import pccd
-from repro.core.benchmarks import benchmark_points, candidate_clusters, hop_length
-from repro.core.clustering import meps_clusters
+from repro.core.benchmarks import (
+    benchmark_cluster_sets,
+    benchmark_points,
+    candidate_clusters,
+    hop_length,
+)
 from repro.core.convoy import Convoy
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
@@ -43,8 +47,8 @@ class TestLemma4:
     def test_convoy_objects_inside_one_benchmark_cluster(self, scene):
         store, convoys = scene
         ts, te = store.time_range()
-        for b in benchmark_points(ts, te, K):
-            clusters = meps_clusters(*store.snapshot(b), M, EPS)
+        bpts = benchmark_points(ts, te, K)
+        for b, clusters in benchmark_cluster_sets(store, bpts, M, EPS).items():
             for v in convoys:
                 if v.ts <= b <= v.te:
                     assert any(v.objs <= c for c in clusters), (v, b)
@@ -55,7 +59,7 @@ class TestLemma5:
         store, convoys = scene
         ts, te = store.time_range()
         bpts = benchmark_points(ts, te, K)
-        csets = {b: meps_clusters(*store.snapshot(b), M, EPS) for b in bpts}
+        csets = benchmark_cluster_sets(store, bpts, M, EPS)
         for b1, b2 in zip(bpts, bpts[1:]):
             cc = candidate_clusters(csets[b1], csets[b2], M)
             for v in convoys:
@@ -78,7 +82,7 @@ class TestLemma1And2:
             objs = frozenset(sorted(v.objs)[: max(M, len(v.objs) - 1)])
             mid = (v.ts + v.te) // 2
             for t in range(v.ts, min(v.te, v.ts + 5) + 1):
-                clusters = meps_clusters(*store.snapshot(t), M, EPS)
+                clusters = benchmark_cluster_sets(store, [t], M, EPS)[t]
                 assert any(objs <= c for c in clusters), (v, t)
             assert mid >= v.ts
 

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import functions as F
 
-from repro.core.clustering import meps_clusters
+from repro.core.benchmarks import benchmark_cluster_sets
 from repro.core.spark_cluster import collect_cluster_sets, snapshot_clusters
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
@@ -19,8 +19,7 @@ class TestSnapshotClusters:
         sdf = spark.createDataFrame(df)
         got = collect_cluster_sets(snapshot_clusters(sdf, 3, 10.0))
         store = FileStore(df)
-        for t in range(30):
-            exp = meps_clusters(*store.snapshot(t), 3, 10.0)
+        for t, exp in benchmark_cluster_sets(store, range(30), 3, 10.0).items():
             assert sorted(got.get(t, []), key=sorted) == sorted(exp, key=sorted), t
 
     def test_border_point_follows_oid_order(self, spark):
@@ -31,8 +30,7 @@ class TestSnapshotClusters:
         sdf = spark.createDataFrame(df.sort_values(["t", "oid"], ascending=[True, False]))
         got = collect_cluster_sets(snapshot_clusters(sdf, 4, 1.0))
         store = FileStore(df)
-        for t in range(6):
-            exp = meps_clusters(*store.snapshot(t), 4, 1.0)
+        for t, exp in benchmark_cluster_sets(store, range(6), 4, 1.0).items():
             assert exp == [frozenset({1, 2, 3, 4, 9}), frozenset({5, 6, 7, 8})]
             assert sorted(got[t], key=sorted) == exp, t
 

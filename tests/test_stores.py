@@ -51,6 +51,20 @@ def _close(stores):
         s.close()
 
 
+def _expect(keys):
+    """DF's rows at the (t, oid) ``keys``, each once, in (t, oid) order."""
+    want = DF.set_index(["t", "oid"]).index.isin(list(keys))
+    return DF[want].sort_values(["t", "oid"])
+
+
+def _assert_rows(got, exp):
+    keys, xy = got
+    assert keys.dtype == np.int64 and keys.shape == (len(exp), 2)
+    assert xy.shape == (len(exp), 2)
+    assert keys.tolist() == exp[["t", "oid"]].to_numpy().tolist()
+    np.testing.assert_allclose(xy, exp[["x", "y"]].to_numpy())
+
+
 class TestStoreInterface:
     def test_time_range(self, store):
         assert store.time_range() == (int(DF.t.min()), int(DF.t.max()))
@@ -60,49 +74,53 @@ class TestStoreInterface:
 
     @pytest.mark.parametrize("t", [0, 7, 29])
     def test_snapshot_matches_frame(self, store, t):
-        oids, xy = store.snapshot(t)
-        exp = DF[DF.t == t].sort_values("oid")
-        assert oids.tolist() == exp.oid.tolist()
-        order = np.argsort(oids)
-        np.testing.assert_allclose(xy[order], exp[["x", "y"]].to_numpy())
+        _assert_rows(store.snapshot([t]), DF[DF.t == t].sort_values("oid"))
 
-    def test_snapshot_missing_timestamp(self, store):
-        oids, xy = store.snapshot(10_000)
-        assert len(oids) == 0 and xy.shape == (0, 2)
+    def test_snapshot_of_several_timestamps(self, store):
+        # Asked out of order, one twice, one outside the span.
+        ts = [29, 3, 10_000, 7, 3, -1]
+        _assert_rows(store.snapshot(ts), DF[DF.t.isin(ts)].sort_values(["t", "oid"]))
 
-    @pytest.mark.parametrize("t", [3, 15])
-    def test_points_subset(self, store, t):
-        want = [0, 3, 5, 23, 999]  # 999 never exists
-        oids, xy = store.points(t, want)
-        exp = DF[(DF.t == t) & DF.oid.isin(want)].sort_values("oid")
-        assert sorted(oids.tolist()) == exp.oid.tolist()
-        order = np.argsort(oids)
-        np.testing.assert_allclose(xy[order], exp[["x", "y"]].to_numpy())
+    @pytest.mark.parametrize("ts", [[10_000], [-5], []])
+    def test_snapshot_missing_timestamp(self, store, ts):
+        keys, xy = store.snapshot(ts)
+        assert keys.shape == (0, 2) and xy.shape == (0, 2)
 
     @pytest.mark.parametrize("t", [3, 15])
     def test_points_in_oid_order(self, store, t):
         # DBSCAN's border ownership follows row order, so the order of the
         # request must not leak into the rows.
         want = [999, 23, 17, 5, 3, 1, 0, -4]  # 999 and -4 never exist
-        oids, xy = store.points(t, want)
-        exp = DF[(DF.t == t) & DF.oid.isin(want)].sort_values("oid")
-        assert oids.tolist() == exp.oid.tolist()
-        np.testing.assert_allclose(xy, exp[["x", "y"]].to_numpy())
+        _assert_rows(store.points([t], [want]), _expect((t, o) for o in want))
 
-    def test_points_empty_request(self, store):
-        oids, xy = store.points(3, [])
-        assert len(oids) == 0 and xy.shape == (0, 2)
+    def test_points_of_several_restrictions(self, store):
+        # Timestamps out of order, absent objects, a restriction asked
+        # twice, two that overlap at t = 15, and timestamps outside the span.
+        t = [15, 3, 15, 3, 15, 10_000, -1]
+        oids = [[0, 3, 5, 999], [1, 2, 8], [5, 23, 3], [8, 2, 1], [], [0, 1], [0]]
+        _assert_rows(
+            store.points(t, oids), _expect((a, o) for a, objs in zip(t, oids) for o in objs)
+        )
+
+    @pytest.mark.parametrize("t, oids", [([], []), ([3], [[]]), ([3, 4], [[], []])])
+    def test_points_empty_request(self, store, t, oids):
+        keys, xy = store.points(t, oids)
+        assert keys.shape == (0, 2) and xy.shape == (0, 2)
 
 
 class TestStoreCrossEquivalence:
     def test_all_backends_agree_everywhere(self):
         stores = _stores()
-        for t in range(int(DF.t.min()), int(DF.t.max()) + 1):
-            snaps = {name: s.snapshot(t) for name, s in stores}
-            ref_oids, ref_xy = snaps["file"]
-            for name, (oids, xy) in snaps.items():
-                assert oids.tolist() == ref_oids.tolist(), (name, t)
-                np.testing.assert_allclose(xy, ref_xy, err_msg=f"{name}@{t}")
+        ts = list(range(int(DF.t.min()), int(DF.t.max()) + 1))
+        objs = [list(range(t % 7, 25, 3)) for t in ts]  # every third object
+        reads = {
+            name: [s.snapshot([t]) for t in ts] + [s.snapshot(ts), s.points(ts, objs)]
+            for name, s in stores
+        }
+        for name, got in reads.items():
+            for (keys, xy), (ref_keys, ref_xy) in zip(got, reads["file"]):
+                assert keys.tolist() == ref_keys.tolist(), name
+                np.testing.assert_allclose(xy, ref_xy, err_msg=name)
         _close(s for _name, s in stores)
 
 
@@ -113,25 +131,26 @@ class TestOracleAccessPaths:
         from repro.oracle import assert_equivalent
 
         store = FileStore(DF)
-        oids, xy = store.snapshot(7)
+        keys, xy = store.snapshot([7, 9])
         got = spark.createDataFrame(
-            pd.DataFrame({"oid": oids, "x": xy[:, 0], "y": xy[:, 1]})
+            pd.DataFrame({"t": keys[:, 0], "oid": keys[:, 1], "x": xy[:, 0], "y": xy[:, 1]})
         )
         assert_equivalent(
-            got, "SELECT oid, x, y FROM pts WHERE t = 7", pts=DF
+            got, "SELECT t, oid, x, y FROM pts WHERE t IN (7, 9)", pts=DF
         )
 
     def test_points_is_point_query(self, spark):
         from repro.oracle import assert_equivalent
 
         store = RDBMSStore(DF)
-        oids, xy = store.points(3, [1, 2, 8])
+        keys, xy = store.points([3, 5], [[1, 2, 8], [2]])
         got = spark.createDataFrame(
-            pd.DataFrame({"oid": oids, "x": xy[:, 0], "y": xy[:, 1]})
+            pd.DataFrame({"t": keys[:, 0], "oid": keys[:, 1], "x": xy[:, 0], "y": xy[:, 1]})
         )
         assert_equivalent(
             got,
-            "SELECT oid, x, y FROM pts WHERE t = 3 AND oid IN (1,2,8)",
+            "SELECT t, oid, x, y FROM pts "
+            "WHERE (t = 3 AND oid IN (1,2,8)) OR (t = 5 AND oid = 2)",
             pts=DF,
         )
         store.close()
@@ -162,8 +181,8 @@ class TestLSMTInternals:
         for i in range(8):  # force flushes around the overwrite
             s.put(50 + i, 1, 0.0, 0.0)
         s.put(1, 1, 99.0, 98.0)
-        oids, xy = s.points(1, [1])
-        assert oids.tolist() == [1]
+        keys, xy = s.points([1], [[1]])
+        assert keys.tolist() == [[1, 1]]
         np.testing.assert_allclose(xy[0], [99.0, 98.0])
         s.close()
 
@@ -172,8 +191,8 @@ class TestLSMTInternals:
         for t in (0, 1):
             for oid in range(5):  # 10 puts → one flush at 6, 4 left in memtable
                 s.put(t, oid, t + oid / 10, 0.0)
-        oids, _ = s.snapshot(1)
-        assert oids.tolist() == [0, 1, 2, 3, 4]
+        keys, _ = s.snapshot([1])
+        assert keys[:, 1].tolist() == [0, 1, 2, 3, 4]
         s.close()
 
     def test_scene_roundtrip(self):
@@ -181,9 +200,9 @@ class TestLSMTInternals:
                              convoy_size=3, convoy_len=10, seed=3)
         s = LSMTStore(df, memtable_limit=128)
         f = FileStore(df)
-        for t in (0, 15, 29):
-            a, ax = s.snapshot(t)
-            b, bx = f.snapshot(t)
+        for ts in ([0], [15], [29], [0, 15, 29]):
+            a, ax = s.snapshot(ts)
+            b, bx = f.snapshot(ts)
             assert a.tolist() == b.tolist()
             np.testing.assert_allclose(ax, bx)
         s.close()
@@ -237,15 +256,22 @@ class TestLSMTModel:
                 assert s.total_points() == len(model)
                 ts = [t for t, _oid in model]
                 assert s.time_range() == ((min(ts), max(ts)) if ts else (0, -1))
+            def rows(got):
+                keys, xy = got
+                return list(zip(map(tuple, keys.tolist()), map(tuple, xy.tolist())))
+
             for t in range(-1, 10):  # -1 and 9 are never written
-                at_t = sorted((oid, xy) for (kt, oid), xy in model.items() if kt == t)
-                oids, xy = s.snapshot(t)
-                assert list(zip(oids.tolist(), map(tuple, xy.tolist()))) == at_t
+                at_t = sorted(((kt, oid), xy) for (kt, oid), xy in model.items() if kt == t)
+                assert rows(s.snapshot([t])) == at_t
                 want = {0, 2, 5, 99}
-                oids, xy = s.points(t, want)
-                assert list(zip(oids.tolist(), map(tuple, xy.tolist()))) == [
-                    (oid, p) for oid, p in at_t if oid in want
-                ]
+                assert rows(s.points([t], [want])) == [(k, p) for k, p in at_t if k[1] in want]
+            # One batch: every timestamp, restrictions overlapping at t = 3.
+            ts, objs = [*range(-1, 10), 3], [{t % 6, 2, 5, 99} for t in range(-1, 10)] + [{2, 4}]
+            assert rows(s.snapshot(ts)) == sorted(model.items())
+            assert rows(s.points(ts, objs)) == sorted(
+                (k, p) for k, p in model.items()
+                if any(k == (t, o) for t, os_ in zip(ts, objs) for o in os_)
+            )
         finally:
             s.close()
 
@@ -300,16 +326,30 @@ class TestMeteredStore:
     def test_counts_by_phase(self):
         ms = MeteredStore(FileStore(DF))
         ms.set_phase("benchmark")
-        n0 = len(ms.snapshot(0)[0])
+        n0 = len(ms.snapshot([0, 1])[0])
         ms.set_phase("hwmt")
-        n1 = len(ms.points(1, [0, 1, 2])[0])
+        n1 = len(ms.points([1, 2], [[0, 1, 2], [3]])[0])
         assert ms.reads == {"benchmark": n0, "hwmt": n1}
         assert ms.points_processed == n0 + n1
+        assert n0 == len(DF[DF.t.isin([0, 1])])
+
+    @pytest.mark.parametrize("kind", ["file", "rdbms", "lsmt"])
+    def test_counts_each_returned_row_once(self, kind):
+        # Rows two overlapping restrictions share, or a restriction asked
+        # twice, are returned and counted once, on every backend.
+        inner = dict(_stores())
+        ms = MeteredStore(inner[kind])
+        keys, xy = ms.points([3, 3, 3], [[0, 1, 2, 3], [2, 3, 4], [0, 1, 2, 3]])
+        exp = _expect((3, o) for o in range(5))
+        _assert_rows((keys, xy), exp)
+        ms.snapshot([5, 5])
+        assert ms.points_processed == len(exp) + (DF.t == 5).sum()
+        _close(inner.values())
 
     def test_pruning_pct(self):
         ms = MeteredStore(FileStore(DF))
         assert ms.pruning_pct == 100.0
-        ms.snapshot(0)
+        ms.snapshot([0])
         assert 0 < ms.pruning_pct < 100.0
 
     def test_delegates_metadata(self):

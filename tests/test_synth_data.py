@@ -41,9 +41,9 @@ class TestConvoyScene:
         store = FileStore(df)
         for objs, s, e in truth:
             for t in range(s, e + 1):
-                oids, xy = store.points(t, objs)
-                assert frozenset(int(o) for o in oids) == objs
-                assert objs in meps_clusters(oids, xy, len(objs), eps)
+                keys, xy = store.points([t], [objs])
+                assert frozenset(keys[:, 1].tolist()) == objs
+                assert objs in meps_clusters(keys[:, 1], xy, len(objs), eps)
 
     def test_mixed_convoy_sizes(self):
         df, truth = convoy_scene(n_objects=30, n_timestamps=30, n_convoys=2,
@@ -138,7 +138,7 @@ class TestBrinkhoffLike:
         store = FileStore(df)
         for objs, s, e in truth:
             for t in (s, (s + e) // 2, e):
-                oids, xy = store.points(t, objs)
-                assert len(oids) == len(objs)
-                assert meps_clusters(oids, xy, len(objs), 100.0)
+                keys, xy = store.points([t], [objs])
+                assert len(keys) == len(objs)
+                assert meps_clusters(keys[:, 1], xy, len(objs), 100.0)
 

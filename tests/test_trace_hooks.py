@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.k2hop import k2hop
 from repro.core.k2hop_spark import k2hop_spark
-from repro.stores import FileStore
+from repro.stores import FileStore, MeteredStore
 from repro.testkit import EPS, scene_from_groups
 
 
@@ -45,6 +45,21 @@ def test_sequential_trace_sees_every_phase():
     assert res.convoys
     spans = {span[0] for span in tracer.spans}
     assert {f"phase.{p}" for p in tracing.PHASES} <= spans
+
+
+def test_traced_store_sees_every_point_read():
+    # The tracer's store proxy forwards both reads positionally and counts
+    # the rows of the pair they return; those counts are the metered ones.
+    tracer = tracing.Tracer()
+    store = MeteredStore(tracing.TracedStore(FileStore(_scene()), tracer))
+    res = k2hop(store, 3, 4, EPS)
+    assert res.convoys
+    rows = {"store.snapshot": 0, "store.points": 0}
+    for name, *_span, n in tracer.spans:
+        if name in rows:
+            rows[name] += n
+    assert rows["store.snapshot"] > 0 and rows["store.points"] > 0
+    assert sum(rows.values()) == res.points_processed == store.points_processed
 
 
 def test_spark_trace_sees_cluster_sets(spark):
