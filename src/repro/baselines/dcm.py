@@ -42,30 +42,30 @@ def dcm(
     partitioning on Spark."""
     if part_len is None:
         part_len = 4 * k
-    df, total, (ts, te) = spark_input(df)
-    if not total:
-        return []
-    L = int(part_len)
+    with spark_input(df) as (df, total, (ts, te)):
+        if not total:
+            return []
+        L = int(part_len)
 
-    # Chunk p owns [ts + p·L, ts + (p+1)·L]; its right boundary is the
-    # next chunk's left boundary, so boundary rows go to both.
-    rel = F.col("t") - F.lit(ts)
-    base = df.withColumn("p", F.floor(rel / L))
-    dup = df.where((rel % L == 0) & (rel > 0)).withColumn(
-        "p", F.floor(rel / L) - 1
-    )
-    parts = base.unionByName(dup)
+        # Chunk p owns [ts + p·L, ts + (p+1)·L]; its right boundary is the
+        # next chunk's left boundary, so boundary rows go to both.
+        rel = F.col("t") - F.lit(ts)
+        base = df.withColumn("p", F.floor(rel / L))
+        dup = df.where((rel % L == 0) & (rel > 0)).withColumn(
+            "p", F.floor(rel / L) - 1
+        )
+        parts = base.unionByName(dup)
 
-    def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
-        # A timestamp without rows yields no clusters, which closes every
-        # open candidate just as the sweep's gap rule does.
-        p = int(pdf["p"].iloc[0])
-        lo = ts + p * L
-        hi = min(ts + (p + 1) * L, te)
-        seq = store_cluster_seq(FileStore(pdf), m, eps, t_range=(lo, hi))
-        return convoy_frame("p", p, sweep_maximal_convoys(seq, m, k, edge_ts=(lo, hi)))
+        def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
+            # A timestamp without rows yields no clusters, which closes every
+            # open candidate just as the sweep's gap rule does.
+            p = int(pdf["p"].iloc[0])
+            lo = ts + p * L
+            hi = min(ts + (p + 1) * L, te)
+            seq = store_cluster_seq(FileStore(pdf), m, eps, t_range=(lo, hi))
+            return convoy_frame("p", p, sweep_maximal_convoys(seq, m, k, edge_ts=(lo, hi)))
 
-    rows = parts.groupBy("p").applyInPandas(_mine, convoy_schema("p")).collect()
+        rows = parts.groupBy("p").applyInPandas(_mine, convoy_schema("p")).collect()
     per_part = collect_convoys(rows, "p")
     n_parts = (te - ts) // L + 1
     merged = dcm_merge([per_part.get(p, []) for p in range(n_parts)], m)

@@ -19,16 +19,19 @@ key timestamps):
    of the maximal spanning convoys, collected into a driver-side
    :class:`FileStore`.
 
-The input is checked and its span taken by
-:func:`~repro.core.spark_cluster.spark_input`, the boundary all three
-Spark miners share. The candidate step, merge, extension and validation
-run on the driver in the shared sequence: the candidate and convoy sets
-are tiny (convoys are rare).
+The input is checked, its span taken and its plan re-rooted on
+checkpointed rows by :func:`~repro.core.spark_cluster.spark_input`, the
+boundary all three Spark miners share, so no job of the query re-plans
+the rows the caller's ``createDataFrame`` embedded. The benchmark and
+HWMT reads are counted by observing the frames their ``applyInPandas``
+jobs scan, so counting adds no job. The candidate step, merge, extension
+and validation run on the driver in the shared sequence: the candidate
+and convoy sets are tiny (convoys are rare).
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.clustering import Memo
@@ -54,74 +57,81 @@ from repro.core.validate import validate  # noqa: F401
 _NO_POINTS = FileStore(pd.DataFrame(columns=COLUMNS))
 
 
+def _counted(frame: DataFrame) -> tuple[DataFrame, Observation]:
+    """``frame`` observed: the Observation's ``n`` is the number of its rows
+    that the first job over it scans."""
+    seen = Observation()
+    return frame.observe(seen, F.count(F.lit(1)).alias("n")), seen
+
+
 def k2hop_spark(
     spark: SparkSession, df: DataFrame, m: int, k: int, eps: float
 ) -> K2HopResult:
     """Distributed k/2-hop over a (t, oid, x, y) DataFrame."""
-    df, total, time_range = spark_input(df)
-    read: list[int] = []  # rows each Spark read below counted or collected
+    with spark_input(df) as (df, total, time_range):
+        read: list[int] = []  # rows each Spark read below scanned or collected
 
-    def cluster_snapshots(bpts: list[int]) -> dict[int, list[frozenset[int]]]:
-        """Benchmark snapshots: distributed scan + per-t clustering."""
-        bench_df = df.filter(F.col("t").isin([int(b) for b in bpts]))
-        read.append(bench_df.count())
-        found = collect_cluster_sets(snapshot_clusters(bench_df, m, eps))
-        return {b: found.get(b, []) for b in bpts}
+        def cluster_snapshots(bpts: list[int]) -> dict[int, list[frozenset[int]]]:
+            """Benchmark snapshots: distributed scan + per-t clustering."""
+            bench_df, seen = _counted(df.filter(F.col("t").isin([int(b) for b in bpts])))
+            found = collect_cluster_sets(snapshot_clusters(bench_df, m, eps))
+            read.append(seen.get["n"])
+            return {b: found.get(b, []) for b in bpts}
 
-    def mine_windows(
-        windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]], _memo: Memo
-    ) -> list[list[Convoy]]:
-        """HWMT per hop-window over the pruned (window, oid) join. It runs
-        on the workers, so only extension and validation share the memo."""
-        cand_rows = [
-            (i, int(oid), int(lo), int(hi))
-            for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))
-            for group in cc
-            for oid in group
-        ]
-        found: dict[int, list[Convoy]] = {}
-        if cand_rows:
-            cand = spark.createDataFrame(
-                pd.DataFrame(cand_rows, columns=["window", "oid", "w_lo", "w_hi"])
-            )
-            pruned = df.join(cand, on="oid").where(
-                (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
-            )
-            read.append(pruned.count())
+        def mine_windows(
+            windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]], _memo: Memo
+        ) -> list[list[Convoy]]:
+            """HWMT per hop-window over the pruned (window, oid) join. It runs
+            on the workers, so only extension and validation share the memo."""
+            cand_rows = [
+                (i, int(oid), int(lo), int(hi))
+                for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))
+                for group in cc
+                for oid in group
+            ]
+            found: dict[int, list[Convoy]] = {}
+            if cand_rows:
+                cand = spark.createDataFrame(
+                    pd.DataFrame(cand_rows, columns=["window", "oid", "w_lo", "w_hi"])
+                )
+                pruned, seen = _counted(
+                    df.join(cand, on="oid").where(
+                        (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
+                    )
+                )
 
-            def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
-                # A window's groups are disjoint, so its rows have unique
-                # (t, oid) keys unless the input has duplicates.
-                w = int(pdf["window"].iloc[0])
-                spanning = hwmt(FileStore(pdf), [windows[w]], [ccs[w]], m, eps)[0]
-                return convoy_frame("window", w, spanning)
+                def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
+                    # A window's groups are disjoint and spark_input rejected
+                    # duplicate keys, so its rows have unique (t, oid) keys.
+                    w = int(pdf["window"].iloc[0])
+                    spanning = hwmt(FileStore(pdf), [windows[w]], [ccs[w]], m, eps)[0]
+                    return convoy_frame("window", w, spanning)
 
-            found = collect_convoys(
-                pruned.groupBy("window").applyInPandas(_mine, convoy_schema("window")).collect(),
-                "window",
-            )
-        # A window without result rows either lost its convoys or had no
-        # candidate point inside. HWMT over no points says which: nothing,
-        # unless the window has no interior and its candidates span it.
-        return [
-            found.get(i) or hwmt(_NO_POINTS, [w], [cc], m, eps)[0]
-            for i, (w, cc) in enumerate(zip(windows, ccs))
-        ]
+                mined = pruned.groupBy("window").applyInPandas(_mine, convoy_schema("window"))
+                found = collect_convoys(mined.collect(), "window")
+                read.append(seen.get["n"])
+            # A window without result rows either lost its convoys or had no
+            # candidate point inside. HWMT over no points says which: nothing,
+            # unless the window has no interior and its candidates span it.
+            return [
+                found.get(i) or hwmt(_NO_POINTS, [w], [cc], m, eps)[0]
+                for i, (w, cc) in enumerate(zip(windows, ccs))
+            ]
 
-    def extension_store(merged: list[Convoy]) -> FileStore:
-        """Whole trajectories of the maximal spanning convoys' objects."""
-        if not merged:
-            return _NO_POINTS  # nothing to extend or validate
-        objs = sorted({int(o) for v in merged for o in v.objs})
-        ext_pdf = df.filter(F.col("oid").isin(objs)).toPandas()
-        read.append(len(ext_pdf))
-        # Its span may be narrower than the dataset's: extension stops at
-        # the first timestamp without points either way.
-        return FileStore(ext_pdf)
+        def extension_store(merged: list[Convoy]) -> FileStore:
+            """Whole trajectories of the maximal spanning convoys' objects."""
+            if not merged:
+                return _NO_POINTS  # nothing to extend or validate
+            objs = sorted({int(o) for v in merged for o in v.objs})
+            ext_pdf = df.filter(F.col("oid").isin(objs)).toPandas()
+            read.append(len(ext_pdf))
+            # Its span may be narrower than the dataset's: extension stops at
+            # the first timestamp without points either way.
+            return FileStore(ext_pdf)
 
-    res = run_phases(
-        time_range, cluster_snapshots, mine_windows, extension_store, m, k, eps
-    )
-    res.points_processed = sum(read)
-    res.pruning_pct = 100.0 * (1.0 - res.points_processed / total) if total else 0.0
-    return res
+        res = run_phases(
+            time_range, cluster_snapshots, mine_windows, extension_store, m, k, eps
+        )
+        res.points_processed = sum(read)
+        res.pruning_pct = 100.0 * (1.0 - res.points_processed / total) if total else 0.0
+        return res

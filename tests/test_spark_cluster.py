@@ -1,10 +1,15 @@
-"""Spark snapshot-clustering dataflow vs the sequential substrate."""
+"""Spark snapshot-clustering dataflow vs the sequential substrate, and the
+Spark input boundary's re-rooting and release."""
 import numpy as np
 import pandas as pd
+import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.dcm import dcm
+from repro.baselines.spare import spare
 from repro.core.benchmarks import benchmark_cluster_sets
-from repro.core.spark_cluster import collect_cluster_sets, snapshot_clusters
+from repro.core.k2hop_spark import k2hop_spark
+from repro.core.spark_cluster import collect_cluster_sets, snapshot_clusters, spark_input
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
 from repro.testkit import EPS, border_scene, scene_from_groups
@@ -71,3 +76,42 @@ class TestSnapshotClusters:
         assert_equivalent(
             got, "SELECT t, count(*) AS n FROM cl GROUP BY t", cl=clusters
         )
+
+
+def _persisted(spark) -> int:
+    return spark.sparkContext._jsc.sc().getPersistentRDDs().size()
+
+
+class TestSparkInput:
+    def test_reroots_and_releases(self, spark):
+        df, _ = convoy_scene(
+            n_objects=10, n_timestamps=12, n_convoys=1, convoy_size=3,
+            convoy_len=6, eps=10.0, seed=5,
+        )
+        before = _persisted(spark)
+        with spark_input(spark.createDataFrame(df)) as (sdf, total, span):
+            # The plan is the checkpointed RDD, not the embedded rows.
+            plan = sdf._jdf.queryExecution().logical().getClass().getSimpleName()
+            assert plan == "LogicalRDD"
+            assert (total, span) == (len(df), (int(df.t.min()), int(df.t.max())))
+            assert _persisted(spark) == before + 1
+            assert sdf.count() == len(df)
+        assert _persisted(spark) == before
+
+    # Whether a miner returns or raises, no checkpointed input stays persisted.
+    @pytest.mark.parametrize("mine", [k2hop_spark, dcm, spare], ids=["spark", "dcm", "spare"])
+    @pytest.mark.parametrize("nan", [False, True], ids=["valid", "nan"])
+    def test_miners_release_input(self, spark, mine, nan):
+        df, _ = convoy_scene(
+            n_objects=20, n_timestamps=30, n_convoys=1, convoy_size=4,
+            convoy_len=15, eps=10.0, seed=9,
+        )
+        if nan:
+            df.loc[7, "x"] = np.nan
+        before = _persisted(spark)
+        if nan:
+            with pytest.raises(ValueError, match="non-finite x/y at 1 rows"):
+                mine(spark, spark.createDataFrame(df), 3, 6, 10.0)
+        else:
+            mine(spark, spark.createDataFrame(df), 3, 6, 10.0)
+        assert _persisted(spark) == before
