@@ -49,7 +49,7 @@ def _is_fc(store: TrajectoryStore, v: Convoy, m: int, eps: float) -> bool:
         keys, xy = store.points([t], [v.objs])
         if len(keys) < len(v.objs):
             return False
-        if v.objs not in meps_clusters(keys[:, 1], xy, m, eps):
+        if v.objs not in meps_clusters(keys[:, 1], xy, m, eps)[0]:
             return False
     return True
 

@@ -54,13 +54,11 @@ def benchmark_cluster_sets(
 ) -> dict[int, list[frozenset[int]]]:
     """Fully cluster each benchmark snapshot → {b_i: [(m,eps)-clusters]}.
 
-    All the snapshots are read in one store call."""
+    All the snapshots are read in one store call and clustered in one
+    call, one segment per snapshot."""
     keys, xy = store.snapshot(bpts)
-    lo = np.searchsorted(keys[:, 0], bpts, "left")
-    hi = np.searchsorted(keys[:, 0], bpts, "right")
-    return {
-        b: meps_clusters(keys[a:z, 1], xy[a:z], m, eps) for b, a, z in zip(bpts, lo, hi)
-    }
+    sizes = np.searchsorted(keys[:, 0], bpts, "right") - np.searchsorted(keys[:, 0], bpts, "left")
+    return dict(zip(bpts, meps_clusters(keys[:, 1], xy, m, eps, sizes)))
 
 
 def candidate_clusters(

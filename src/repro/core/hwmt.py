@@ -22,7 +22,10 @@ read alone, and stops at the first one that kills all its candidates.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.clustering import Memo, meps_clusters
 from repro.core.convoy import Convoy
@@ -68,22 +71,49 @@ def recluster(
     key order.
 
     A key already in ``memo`` is neither read nor clustered again. The
-    others are read in one store call, and each is clustered on its own
-    rows, in ``oid`` order, then added to the memo. ``cluster`` is called
-    as ``cluster(oids, xy, m, eps)``; it defaults to :func:`meps_clusters`
-    as this module names it, and a caller passes its own name for it so
-    that the clustering stays attributed to that caller.
+    others are read in one store call and clustered in one call, one
+    segment per key: its own rows, in ``oid`` order. Then they are added
+    to the memo. ``cluster`` is called as ``cluster(oids, xy, m, eps,
+    sizes)``; it defaults to :func:`meps_clusters` as this module names it,
+    and a caller passes its own name for it so that the clustering stays
+    attributed to that caller.
     """
     memo = {} if memo is None else memo
     cluster = meps_clusters if cluster is None else cluster
     todo = list(dict.fromkeys(key for key in keys if key not in memo))
     if todo:
         got, xy = store.points([t for t, _objs in todo], [objs for _t, objs in todo])
-        row = {key: i for i, key in enumerate(map(tuple, got.tolist()))}
-        for t, objs in todo:
-            rows = [row[t, o] for o in sorted(objs) if (t, o) in row]
-            memo[t, objs] = cluster(got[rows, 1], xy[rows], m, eps)
+        objs = [sorted(o) for _t, o in todo]
+        n = [len(o) for o in objs]
+        rows = _rows(
+            got,
+            np.repeat(np.array([t for t, _o in todo], dtype=np.int64), n),
+            np.fromiter(chain.from_iterable(objs), dtype=np.int64, count=sum(n)),
+        )
+        hit = rows >= 0  # an object without a point at t has no row
+        sizes = np.bincount(np.repeat(np.arange(len(todo)), n)[hit], minlength=len(todo))
+        rows = rows[hit]
+        memo.update(zip(todo, cluster(got[rows, 1], xy[rows], m, eps, sizes)))
     return [memo[key] for key in keys]
+
+
+#: a (t, oid) key as one record, which numpy compares field by field
+_KEY = np.dtype([("t", np.int64), ("oid", np.int64)])
+
+
+def _rows(got: np.ndarray, t: np.ndarray, oid: np.ndarray) -> np.ndarray:
+    """The row of each key ``(t[i], oid[i])`` in ``got``, distinct (t, oid)
+    keys in that order, or -1 where it has none.
+
+    Keys are compared as (t, oid) records, so no key is assumed to fit a
+    packed integer."""
+    if not len(got):
+        return np.full(len(t), -1)
+    have = np.ascontiguousarray(got, dtype=np.int64).view(_KEY).ravel()
+    want = np.empty(len(t), _KEY)
+    want["t"], want["oid"] = t, oid
+    pos = np.minimum(np.searchsorted(have, want), len(have) - 1)
+    return np.where(have[pos] == want, pos, -1)
 
 
 def hwmt(

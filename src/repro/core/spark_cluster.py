@@ -49,9 +49,12 @@ def spark_input(df: DataFrame) -> Iterator[tuple[DataFrame, int, tuple[int, int]
     aggregate took ~0.8 s on the cached 493 k-row tdrive frame and ~0.2 s
     on the checkpointed one, 4 cores). A local checkpoint copies the rows
     into block-manager RDD blocks and leaves a plan that holds no data. It
-    is lazy: the first job on it, the one aggregate below, fills the
-    blocks. They are registered before that job runs, so they are released
-    however the ``with`` body exits, even when that job fails.
+    is taken of the caller's own frame, whose plan Spark has already
+    analysed; a ``select`` first would plan the embedded rows afresh, so
+    the columns are selected afterwards, and only when they differ. The
+    checkpoint is lazy: the first job on it, the one aggregate below, fills
+    the blocks. They are registered before that job runs, so they are
+    released however the ``with`` body exits, even when that job fails.
 
     The aggregate takes the count and span and counts validate_frame's
     bad rows (null and NaN fail every comparison, so they count too); any
@@ -66,11 +69,13 @@ def spark_input(df: DataFrame) -> Iterator[tuple[DataFrame, int, tuple[int, int]
         "non-finite x/y": F.count(F.when(finite[0] & finite[1], 1)),
         "duplicate (t, oid)": F.count_distinct("t", "oid"),
     }
-    df = df.select(*COLUMNS).localCheckpoint(eager=False)
+    df = df.localCheckpoint(eager=False)
     # ``DataFrame.unpersist`` leaves checkpoint blocks alone; their RDD
     # releases them.
     blocks = df._jdf.queryExecution().logical().rdd()
     try:
+        if df.columns != COLUMNS:
+            df = df.select(*COLUMNS)
         total, ts, te, *n_pass = df.agg(
             F.count(F.lit(1)), F.min("t"), F.max("t"), *passing.values()
         ).first()
@@ -91,7 +96,7 @@ def snapshot_clusters(df: DataFrame, m: int, eps: float) -> DataFrame:
         # Spark hands a group's rows over in no set order; DBSCAN's border
         # ownership follows row order, and the stores serve oid order.
         pdf = pdf.sort_values("oid")
-        clusters = meps_clusters(pdf["oid"].to_numpy(), pdf[["x", "y"]].to_numpy(), m, eps)
+        clusters = meps_clusters(pdf["oid"].to_numpy(), pdf[["x", "y"]].to_numpy(), m, eps)[0]
         sizes = [len(c) for c in clusters]
         return pd.DataFrame(
             {

@@ -96,7 +96,7 @@ def store_cluster_seq(
     if objs is None:
         for t in range(ts, te + 1):
             keys, xy = store.snapshot([t])
-            yield t, meps_clusters(keys[:, 1], xy, m, eps, mode=mode)
+            yield t, meps_clusters(keys[:, 1], xy, m, eps, mode=mode)[0]
         return
 
     def cluster(*args):  # this module's meps_clusters, looked up when it runs

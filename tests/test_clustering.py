@@ -1,9 +1,17 @@
 """Unit tests for the DBSCAN substrate (grid and naive backends)."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clustering import GRID_MIN_POINTS, NOISE, dbscan, meps_clusters
+from repro.core import clustering
+from repro.core.clustering import NOISE, dbscan, meps_clusters
+
+
+def grid_at_every_size():
+    """``mode="grid"`` takes the grid pipeline however few the rows."""
+    return patch.object(clustering, "GRID_MIN_POINTS", 0)
 
 
 def _labels_to_partition(labels):
@@ -15,6 +23,14 @@ def _labels_to_partition(labels):
 
 
 class TestDbscanBasics:
+    @pytest.fixture(autouse=True, params=["cutoff", "grid"])
+    def path(self, request):
+        if request.param == "cutoff":
+            yield
+        else:
+            with grid_at_every_size():
+                yield
+
     def test_empty(self):
         assert dbscan(np.empty((0, 2)), 1.0, 3).size == 0
 
@@ -80,16 +96,16 @@ class TestGridEqualsNaive:
 
 
 @st.composite
-def snapshots(draw):
-    """(xy, eps) of one snapshot of 0 to 3 x GRID_MIN_POINTS points.
+def points(draw, n):
+    """(xy, eps) of ``n`` points of one world.
 
     Lattice worlds put neighbours exactly eps apart and points on top of
-    each other, around the origin (negative coordinates included) or
-    offset by 1e9 with a small power-of-two eps, where cell keys wrap in
-    int64. Continuous worlds are uniform random points.
+    each other, around the origin (negative coordinates included), offset
+    by 1e9 with a small power-of-two eps (cell indices ~2⁴⁰), or split
+    among lattices 2⁴⁰ cells apart on both axes, too far apart for packed
+    cell keys. Continuous worlds are uniform random points.
     """
-    n = draw(st.integers(0, 3 * GRID_MIN_POINTS))
-    kind = draw(st.sampled_from(["lattice", "offset", "continuous"]))
+    kind = draw(st.sampled_from(["lattice", "offset", "far", "continuous"]))
     if kind == "continuous":
         g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         side = draw(st.sampled_from([1.0, 4.0, 12.0]))
@@ -100,8 +116,26 @@ def snapshots(draw):
     xy = np.array(cells, dtype=float).reshape(n, 2)
     if kind == "lattice":
         return xy, 1.0
+    if kind == "far":
+        far = st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+        shift = draw(st.lists(far, min_size=n, max_size=n))
+        return xy + 2.0**40 * np.array(shift, dtype=float).reshape(n, 2), 1.0
     eps = 2.0**-10
     return 1e9 + xy * eps, eps
+
+
+def snapshots():
+    """(xy, eps) of one snapshot of 0 to 96 points."""
+    return st.integers(0, 96).flatmap(points)
+
+
+def segmented():
+    """(sizes, (xy, eps)): 0 to 6 segments, empty and single-point ones
+    included, of one world, so segments overlap in space."""
+    size = st.one_of(st.just(0), st.just(1), st.integers(0, 40))
+    return st.lists(size, max_size=6).flatmap(
+        lambda sizes: st.tuples(st.just(sizes), points(sum(sizes)))
+    )
 
 
 class TestGridLabelsEqualNaive:
@@ -112,12 +146,95 @@ class TestGridLabelsEqualNaive:
     @given(snapshots(), st.integers(1, 6))
     def test_labels_and_clusters(self, snapshot, min_pts):
         xy, eps = snapshot
-        grid = dbscan(xy, eps, min_pts, mode="grid")
+        with grid_at_every_size():
+            grid = dbscan(xy, eps, min_pts, mode="grid")
+            oids = np.arange(len(xy)) * 3 + 5
+            clusters = meps_clusters(oids, xy, min_pts, eps)
         assert grid.tolist() == dbscan(xy, eps, min_pts, mode="naive").tolist()
+        assert clusters == meps_clusters(oids, xy, min_pts, eps, mode="naive")
+
+    def test_int64_wrap_of_packed_cell_keys(self):
+        # Cells (2³¹−1, 2³²−1) and (2³¹−1, 2³²) are adjacent, but as
+        # cx·2³² + cy keys they are 2⁶³−1 and its int64 wrap −2⁶³.
+        x = 2.0**31 - 1 + np.arange(1, 7) / 8
+        y = 2.0**32 - 0.75 + np.arange(6) / 4
+        xy = np.array([(a, b) for a in x for b in y])
+        with grid_at_every_size():
+            labels = dbscan(xy, 1.0, 3)
+        assert labels.tolist() == dbscan(xy, 1.0, 3, mode="naive").tolist()
+        assert set(labels) == {0}
+
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            # Cells up to ~2¹⁰⁰⁰ apart; the quotients of ±1e300 / 1e-10 overflow.
+            [[-1e300, 1e300], [1e300, -1e300], [0, 0], [0.5, 0], [1, 0], [1e300, -1e300], [0, 1]],
+            # Cells 2⁶⁰ apart on one axis: rebased on -2⁶⁰, cells 128 and 129
+            # round 256 apart in float64.
+            [[-(2.0**60), 0], [128.5, 0], [129.2, 0]],
+        ],
+        ids=["overflow", "one-axis"],
+    )
+    def test_spans_too_wide_for_packed_keys(self, xy):
+        xy = np.array(xy)
+        for eps in (1.0, 1e-10):
+            with np.errstate(over="ignore"), grid_at_every_size():
+                grid, naive = dbscan(xy, eps, 2), dbscan(xy, eps, 2, mode="naive")
+            assert grid.tolist() == naive.tolist()
+
+
+def segmented_labels(xy, eps, min_pts, sizes, mode="grid"):
+    """(labels, segment of each cluster) of one segmented call, as lists."""
+    labels, cseg = clustering._labels(xy, eps, min_pts, np.array(sizes, dtype=np.int64), mode)
+    return labels.tolist(), cseg.tolist()
+
+
+class TestSegments:
+    """One call over many segments gives each segment the labels and
+    clusters it gets alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(segmented(), st.integers(1, 6))
+    def test_segments_equal_naive_alone(self, world, min_pts):
+        sizes, (xy, eps) = world
         oids = np.arange(len(xy)) * 3 + 5
-        assert meps_clusters(oids, xy, min_pts, eps) == meps_clusters(
-            oids, xy, min_pts, eps, mode="naive"
-        )
+        bounds = np.cumsum([0, *sizes])
+        parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        # Each segment alone, its clusters numbered on after the earlier ones'.
+        labels, cseg = [], []
+        for s, p in enumerate(parts):
+            alone = dbscan(xy[p], eps, min_pts, mode="naive").tolist()
+            labels += [c + len(cseg) if c != NOISE else NOISE for c in alone]
+            cseg += [s] * (max(alone, default=NOISE) + 1)
+        with grid_at_every_size():
+            assert segmented_labels(xy, eps, min_pts, sizes) == (labels, cseg)
+            clusters = meps_clusters(oids, xy, min_pts, eps, sizes)
+        assert segmented_labels(xy, eps, min_pts, sizes, "naive") == (labels, cseg)
+        assert clusters == [
+            meps_clusters(oids[p], xy[p], min_pts, eps, mode="naive")[0] for p in parts
+        ]
+        # Below the cutoff the grid mode takes the pairwise path.
+        assert meps_clusters(oids, xy, min_pts, eps, sizes) == clusters
+
+    @pytest.mark.parametrize("mode", ["grid", "naive"])
+    def test_segments_do_not_share_points(self, mode):
+        # Two segments at the same place: each is too small alone.
+        xy = np.array([[0, 0], [0.5, 0], [0, 0.5], [0.5, 0.5]], float)
+        with grid_at_every_size():
+            assert segmented_labels(xy, 1.0, 3, [2, 2], mode) == ([NOISE] * 4, [])
+            assert segmented_labels(xy, 1.0, 3, [1, 3], mode) == ([NOISE, 0, 0, 0], [1])
+            assert meps_clusters(np.arange(4), xy, 3, 1.0, [0, 3, 1], mode=mode) == [
+                [], [frozenset({0, 1, 2})], []
+            ]
+
+    @pytest.mark.parametrize("mode", ["grid", "naive"])
+    def test_no_segments(self, mode):
+        with grid_at_every_size():
+            assert meps_clusters(np.empty(0, dtype=int), np.empty((0, 2)), 3, 1.0, [], mode=mode) == []
+
+    def test_sizes_must_cover_the_rows(self):
+        with pytest.raises(ValueError, match="sum to 4 rows"):
+            meps_clusters(np.arange(4), np.zeros((4, 2)), 3, 1.0, [2, 1])
 
 
 class TestMepsClusters:
@@ -125,22 +242,22 @@ class TestMepsClusters:
         # minPts=2 clusters pair {10,11}, but m=3 discards size-2 sets.
         oids = np.array([10, 11, 20, 21, 22])
         xy = np.array([[0, 0], [0.5, 0], [50, 0], [50.5, 0], [51, 0]], float)
-        assert meps_clusters(oids, xy, 3, 1.0) == [frozenset({20, 21, 22})]
+        assert meps_clusters(oids, xy, 3, 1.0) == [[frozenset({20, 21, 22})]]
 
     def test_returns_oids_not_indices(self):
         oids = np.array([7, 9, 13])
         xy = np.array([[0, 0], [0.5, 0], [1.0, 0]], float)
-        assert meps_clusters(oids, xy, 3, 1.0) == [frozenset({7, 9, 13})]
+        assert meps_clusters(oids, xy, 3, 1.0) == [[frozenset({7, 9, 13})]]
 
     def test_clusters_are_disjoint(self):
         g = np.random.default_rng(5)
         oids = np.arange(200)
         xy = g.random((200, 2)) * 10
-        cl = meps_clusters(oids, xy, 3, 1.0)
+        cl = meps_clusters(oids, xy, 3, 1.0)[0]
         seen = set()
         for c in cl:
             assert not (c & seen)
             seen |= c
 
     def test_empty_snapshot(self):
-        assert meps_clusters(np.empty(0, dtype=int), np.empty((0, 2)), 3, 1.0) == []
+        assert meps_clusters(np.empty(0, dtype=int), np.empty((0, 2)), 3, 1.0) == [[]]

@@ -1,7 +1,9 @@
 """HWMT tests, including the paper's Figure 4 bisection order and the
 full Table 2 / Figure 6 worked example."""
+import pandas as pd
 import pytest
 
+from repro.core import hwmt as hwmt_module
 from repro.core.benchmarks import benchmark_cluster_sets, candidate_clusters
 from repro.core.convoy import Convoy
 from repro.core.hwmt import hwmt, hwmt_order, recluster
@@ -90,6 +92,45 @@ class TestTable2Example:
             found = recluster(store, [(t, g) for g in groups], 3, EPS)
             groups = [c for cs in found for c in cs]
             assert groups == [frozenset(abcd)], f"after t={t}"
+
+
+class TestReclusterRound:
+    """One ``recluster`` call: every key is clustered on its own rows, in
+    one store read and one clustering call."""
+
+    BIG = 2**62  # object ids and timestamps need not fit a packed key
+
+    def _store(self):
+        # At t = -3, objects BIG, 5, 7 and 9 are together and -4 is far
+        # away; 11 has a point only at t = -2.
+        rows = [(-3, o, 0.5 * i, 0.0) for i, o in enumerate([5, 7, 9, self.BIG])]
+        rows += [(-3, -4, 500.0, 0.0), (-2, 11, 0.0, 0.0)]
+        return SpyStore(pd.DataFrame(rows, columns=["t", "oid", "x", "y"]))
+
+    def test_overlapping_keys_at_one_t(self, monkeypatch):
+        store = self._store()
+        calls, cluster = [], hwmt_module.meps_clusters
+
+        def counted(oids, *args):
+            calls.append(oids.tolist())
+            return cluster(oids, *args)
+
+        monkeypatch.setattr(hwmt_module, "meps_clusters", counted)
+        keys = [
+            (-3, frozenset({self.BIG, 5, 7})),
+            (-3, frozenset({5, 7, 9, 11})),  # 11 has no point at -3
+            (-3, frozenset({5, 7, -4})),
+        ]
+        found = recluster(store, keys, 3, EPS)
+        assert found == [[frozenset({self.BIG, 5, 7})], [frozenset({5, 7, 9})], []]
+        assert len(store.calls) == 1
+        # One call, each key's rows in oid order, shared points repeated.
+        assert calls == [[5, 7, self.BIG, 5, 7, 9, -4, 5, 7]]
+        assert found == [recluster(store, [key], 3, EPS)[0] for key in keys]
+
+    def test_no_point_at_all(self):
+        store = self._store()
+        assert recluster(store, [(-1, frozenset({5, 7, 9}))], 3, EPS) == [[]]
 
 
 class SpyStore(FileStore):

@@ -43,7 +43,7 @@ class TestConvoyScene:
             for t in range(s, e + 1):
                 keys, xy = store.points([t], [objs])
                 assert frozenset(keys[:, 1].tolist()) == objs
-                assert objs in meps_clusters(keys[:, 1], xy, len(objs), eps)
+                assert objs in meps_clusters(keys[:, 1], xy, len(objs), eps)[0]
 
     def test_mixed_convoy_sizes(self):
         df, truth = convoy_scene(n_objects=30, n_timestamps=30, n_convoys=2,
@@ -140,5 +140,5 @@ class TestBrinkhoffLike:
             for t in (s, (s + e) // 2, e):
                 keys, xy = store.points([t], [objs])
                 assert len(keys) == len(objs)
-                assert meps_clusters(keys[:, 1], xy, len(objs), 100.0)
+                assert meps_clusters(keys[:, 1], xy, len(objs), 100.0)[0]
 
