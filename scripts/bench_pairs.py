@@ -10,8 +10,9 @@ traced run (``--trace 1``) per side. It writes ``BENCH_<label>.json`` at the rep
 to an existing one, so workloads can be recorded one invocation at a time:
 
 * per end-to-end metric of ``BENCHMARK.json``: each side's runs, median and
-  quartiles (``statistics.quantiles(n=4)``), and how many pairs the change
-  won and tied;
+  quartiles (``statistics.quantiles(n=4)``), whether every run of that side
+  gave the same value (``exact``: a claim resting on a count holds only if
+  the count repeats), and how many pairs the change won and tied;
 * per workload and seed: failed queries per side and the traced runs'
   per-layer metrics;
 * ``nproc``, the machine and both commits (the working tree's is ``HEAD``,
@@ -60,7 +61,8 @@ def perfbench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
 
 def summary(runs: list[float]) -> dict:
     q1, _q2, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else (runs[0],) * 3
-    return {"median": statistics.median(runs), "q1": q1, "q3": q3, "n": len(runs)}
+    return {"median": statistics.median(runs), "q1": q1, "q3": q3, "n": len(runs),
+            "exact": len(set(runs)) == 1}
 
 
 def pairs_entry(runs: dict[str, list[dict]], first: list[str], metrics: dict[str, str]) -> dict:

@@ -2,12 +2,14 @@
 well-formed rows with the paper's shape, the command line prints them
 and rejects unknown names, and ``jobs/mine_convoys.py`` mines one query."""
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import TABLES, gain_rows, main
+from repro.experiments import SPARK_TABLES, TABLES, gain_rows, main, scalability_rows
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -59,6 +61,13 @@ class TestJobRuns:
         rows = gain_rows(spark, "spare", size="test", names=("trucks",))
         assert rows[0]["gain"] > 0
 
+    def test_scalability_spark_columns(self, spark):
+        assert "scalability" in SPARK_TABLES
+        rows = scalability_rows(spark, size="test", include_vcoda=False)
+        for r in rows:
+            assert r["k2-spark_s"] > 0
+            assert 0 < r["k2-spark_points"] < r["points"]
+
     def test_mine_convoys_cli(self, capsys, monkeypatch):
         mod = _load("mine_convoys")
         monkeypatch.setattr(
@@ -71,6 +80,12 @@ class TestJobRuns:
 
 
 class TestCommandLine:
+    def test_import_starts_no_spark(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import sys, repro.experiments; sys.exit('pyspark' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_prints_table(self, capsys):
         main(["--size", "test", "table4"])
         out = capsys.readouterr().out

@@ -1,15 +1,21 @@
 """Distributed k/2-hop: equality with the sequential algorithm, pruning
-accounting, and a DuckDB-oracle check of the pruned hop-window join."""
+accounting, the driver's extension store, and DuckDB-oracle checks of the
+pruned hop-window join and of the extension store's collection filter."""
 import math
+import uuid
+from contextlib import contextmanager
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.bruteforce import brute_force_fc_convoys
+from repro.core.convoy import Convoy
 from repro.core.k2hop import k2hop
-from repro.core.k2hop_spark import k2hop_spark
+from repro.core.k2hop_spark import HopStore, k2hop_spark, range_filter
 from repro.stores import FileStore
+from repro.stores.base import COLUMNS
 from repro.synth_data import convoy_scene
 from repro.testkit import EPS, border_scene, scene_from_groups
 
@@ -109,6 +115,116 @@ class TestPrunedJoinOracle:
                WHERE d.t > c.w_lo AND d.t < c.w_hi""",
             pts=df,
             cand=cand,
+        )
+
+
+@contextmanager
+def jobs_run(spark):
+    """Yields a list that receives, on exit, the number of Spark jobs the
+    block ran."""
+    sc = spark.sparkContext
+    group = f"jobs-run-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "jobs counted by a test")
+    counted: list[int] = []
+    try:
+        yield counted
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        counted.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+
+
+def rows_in(df: pd.DataFrame, intervals: dict[int, tuple[int, int]]) -> pd.DataFrame:
+    """The rows of object ``o`` with ``lo <= t <= hi``, for every ``o: (lo,
+    hi)``, in (t, oid) order."""
+    lo = df["oid"].map(lambda o: intervals.get(o, (0, -1))[0])
+    hi = df["oid"].map(lambda o: intervals.get(o, (0, -1))[1])
+    return df[(lo <= df["t"]) & (df["t"] <= hi)].sort_values(["t", "oid"])
+
+
+class TestHopStore:
+    H = 3
+    # Object 2 is in both convoys, so its interval is their hull; the first
+    # convoy's left hop and the second's right hop are clipped to the span.
+    MERGED = [
+        Convoy(ts=1, te=8, objs=frozenset({0, 1, 2})),
+        Convoy(ts=14, te=18, objs=frozenset({2, 3})),
+    ]
+    HULL = {0: (0, 11), 1: (0, 11), 2: (0, 19), 3: (11, 19)}
+
+    @pytest.fixture(scope="class")
+    def scene(self, spark):
+        df, _ = convoy_scene(
+            n_objects=12, n_timestamps=20, n_convoys=1, convoy_size=4,
+            convoy_len=10, eps=10.0, presence=0.8, seed=5,
+        )
+        return df, spark.createDataFrame(df)
+
+    def test_first_collection_is_the_hull(self, spark, scene):
+        df, sdf = scene
+        with jobs_run(spark) as jobs:
+            store = HopStore(sdf, (0, 19), self.H, self.MERGED)
+        want = rows_in(df, self.HULL)
+        assert jobs == [1]
+        assert store.collected == len(want)
+        assert store.time_range() == (0, 19)
+        # Every hull row is served without another job.
+        with jobs_run(spark) as jobs:
+            keys, xy = store.points(want["t"].tolist(), [[o] for o in want["oid"]])
+        assert jobs == [0]
+        np.testing.assert_array_equal(keys, want[["t", "oid"]].to_numpy())
+        np.testing.assert_array_equal(xy, want[["x", "y"]].to_numpy())
+
+    def test_reads_past_the_hull_run_one_job(self, spark, scene):
+        df, sdf = scene
+        store = HopStore(sdf, (0, 19), self.H, self.MERGED)
+        # Past object 0's interval on the right, object 3's on the left, and
+        # object 7, never collected; object 1 inside its interval.
+        t = [13, 15, 5, 9, 7]
+        oids = [{0}, {0}, {3, 7}, {1}, {7}]
+        with jobs_run(spark) as jobs:
+            got = store.points(t, oids)
+        assert jobs == [1]
+        want = FileStore(df).points(t, oids)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        # Each object grew by the timestamps asked past it plus one hop, and
+        # holds every row of its grown interval, each collected once.
+        grown = rows_in(df, {**self.HULL, 0: (0, 18), 3: (2, 19), 7: (2, 10)})
+        assert store.collected == len(grown)
+        with jobs_run(spark) as jobs:
+            keys, _xy = store.points(grown["t"].tolist(), [[o] for o in grown["oid"]])
+        assert jobs == [0]
+        np.testing.assert_array_equal(keys, grown[["t", "oid"]].to_numpy())
+
+    def test_no_convoys_collect_nothing(self, spark, scene):
+        _df, sdf = scene
+        with jobs_run(spark) as jobs:
+            store = HopStore(sdf, (0, 19), self.H, [])
+            keys, _xy = store.points([25, -1], [{0}, {1}])  # outside the span
+        assert jobs == [0]
+        assert store.collected == 0 and len(keys) == 0
+
+
+class TestRangeFilterOracle:
+    def test_range_filter_matches_sql_range_join(self, spark):
+        """The extension store's collection is a Catalyst filter; its
+        result must equal the same ranges joined in SQL over DuckDB."""
+        from repro.oracle import assert_equivalent
+
+        df, _ = convoy_scene(
+            n_objects=20, n_timestamps=20, n_convoys=1, convoy_size=4,
+            convoy_len=12, eps=10.0, seed=3,
+        )
+        # Objects 0 and 1 share a range; object 2 has one on each side of
+        # its collected interval; object 30 has no rows.
+        ranges = [(0, 3, 9), (1, 3, 9), (2, 0, 2), (2, 12, 15), (5, 19, 19), (30, 0, 19)]
+        got = spark.createDataFrame(df).filter(range_filter(ranges)).select(*COLUMNS)
+        assert_equivalent(
+            got,
+            """SELECT d.t, d.oid, d.x, d.y FROM pts d JOIN ranges r ON d.oid = r.oid
+               WHERE d.t BETWEEN r.lo AND r.hi""",
+            pts=df,
+            ranges=pd.DataFrame(ranges, columns=["oid", "lo", "hi"]),
         )
 
 
