@@ -114,11 +114,11 @@ def spare(
     spark: SparkSession, df: DataFrame, m: int, k: int, eps: float
 ) -> list[Convoy]:
     """Maximal (partially-connected) convoys via the SPARE pipeline."""
-    with spark_input(df) as (df, _total, _span):
-        clusters = snapshot_clusters(df, m, eps)
-        stars = clusters.groupBy("t").applyInPandas(_stars, STAR_SCHEMA)
-        cands = stars.groupBy("star").applyInPandas(
-            lambda pdf: _enumerate_star(pdf, k, m), convoy_schema("star")
-        )
-        per_star = collect_convoys(cands.collect(), "star")
+    rooted, _total, _span = spark_input(df)
+    clusters = snapshot_clusters(rooted, m, eps)
+    stars = clusters.groupBy("t").applyInPandas(_stars, STAR_SCHEMA)
+    cands = stars.groupBy("star").applyInPandas(
+        lambda pdf: _enumerate_star(pdf, k, m), convoy_schema("star")
+    )
+    per_star = collect_convoys(cands.collect(), "star")
     return sorted(antichain(v for found in per_star.values() for v in found))

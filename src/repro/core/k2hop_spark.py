@@ -25,7 +25,10 @@ key timestamps):
 The input is checked, its span taken and its plan re-rooted on
 checkpointed rows by :func:`~repro.core.spark_cluster.spark_input`, the
 boundary all three Spark miners share, so no job of the query re-plans
-the rows the caller's ``createDataFrame`` embedded. The benchmark and
+the rows the caller's ``createDataFrame`` embedded. That is done once per
+DataFrame object and held until the caller drops that object: repeated
+queries on one frame run no check job, and a frame whose source data
+changes must be rebuilt to be re-read. The benchmark and
 HWMT reads are counted by observing the frames their ``applyInPandas``
 jobs scan, so counting adds no job; the extension store counts the rows
 it collects. The candidate step, merge, extension and validation run on
@@ -165,65 +168,65 @@ def k2hop_spark(
     spark: SparkSession, df: DataFrame, m: int, k: int, eps: float
 ) -> K2HopResult:
     """Distributed k/2-hop over a (t, oid, x, y) DataFrame."""
-    with spark_input(df) as (df, total, time_range):
-        scanned: list[int] = []  # rows the benchmark and HWMT reads scanned
-        stores: list[HopStore] = []  # the query's extension store, once made
+    rooted, total, time_range = spark_input(df)
+    scanned: list[int] = []  # rows the benchmark and HWMT reads scanned
+    stores: list[HopStore] = []  # the query's extension store, once made
 
-        def cluster_snapshots(bpts: list[int]) -> dict[int, list[frozenset[int]]]:
-            """Benchmark snapshots: distributed scan + per-t clustering."""
-            bench_df, seen = _counted(df.filter(F.col("t").isin([int(b) for b in bpts])))
-            found = collect_cluster_sets(snapshot_clusters(bench_df, m, eps))
+    def cluster_snapshots(bpts: list[int]) -> dict[int, list[frozenset[int]]]:
+        """Benchmark snapshots: distributed scan + per-t clustering."""
+        bench_df, seen = _counted(rooted.filter(F.col("t").isin([int(b) for b in bpts])))
+        found = collect_cluster_sets(snapshot_clusters(bench_df, m, eps))
+        scanned.append(seen.get["n"])
+        return {b: found.get(b, []) for b in bpts}
+
+    def mine_windows(
+        windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]], _memo: Memo
+    ) -> list[list[Convoy]]:
+        """HWMT per hop-window over the pruned (window, oid) join. It runs
+        on the workers, so only extension and validation share the memo."""
+        cand_rows = [
+            (i, int(oid), int(lo), int(hi))
+            for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))
+            for group in cc
+            for oid in group
+        ]
+        found: dict[int, list[Convoy]] = {}
+        if cand_rows:
+            cand = spark.createDataFrame(
+                pd.DataFrame(cand_rows, columns=["window", "oid", "w_lo", "w_hi"])
+            )
+            pruned, seen = _counted(
+                rooted.join(cand, on="oid").where(
+                    (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
+                )
+            )
+
+            def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
+                # A window's groups are disjoint and spark_input rejected
+                # duplicate keys, so its rows have unique (t, oid) keys.
+                w = int(pdf["window"].iloc[0])
+                spanning = hwmt(FileStore(pdf), [windows[w]], [ccs[w]], m, eps)[0]
+                return convoy_frame("window", w, spanning)
+
+            mined = pruned.groupBy("window").applyInPandas(_mine, convoy_schema("window"))
+            found = collect_convoys(mined.collect(), "window")
             scanned.append(seen.get["n"])
-            return {b: found.get(b, []) for b in bpts}
+        # A window without result rows either lost its convoys or had no
+        # candidate point inside. HWMT over no points says which: nothing,
+        # unless the window has no interior and its candidates span it.
+        return [
+            found.get(i) or hwmt(_NO_POINTS, [w], [cc], m, eps)[0]
+            for i, (w, cc) in enumerate(zip(windows, ccs))
+        ]
 
-        def mine_windows(
-            windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]], _memo: Memo
-        ) -> list[list[Convoy]]:
-            """HWMT per hop-window over the pruned (window, oid) join. It runs
-            on the workers, so only extension and validation share the memo."""
-            cand_rows = [
-                (i, int(oid), int(lo), int(hi))
-                for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))
-                for group in cc
-                for oid in group
-            ]
-            found: dict[int, list[Convoy]] = {}
-            if cand_rows:
-                cand = spark.createDataFrame(
-                    pd.DataFrame(cand_rows, columns=["window", "oid", "w_lo", "w_hi"])
-                )
-                pruned, seen = _counted(
-                    df.join(cand, on="oid").where(
-                        (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
-                    )
-                )
+    def extension_store(merged: list[Convoy]) -> HopStore:
+        """The maximal spanning convoys' objects, one hop around each."""
+        stores.append(HopStore(rooted, time_range, hop_length(k), merged))
+        return stores[-1]
 
-                def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
-                    # A window's groups are disjoint and spark_input rejected
-                    # duplicate keys, so its rows have unique (t, oid) keys.
-                    w = int(pdf["window"].iloc[0])
-                    spanning = hwmt(FileStore(pdf), [windows[w]], [ccs[w]], m, eps)[0]
-                    return convoy_frame("window", w, spanning)
-
-                mined = pruned.groupBy("window").applyInPandas(_mine, convoy_schema("window"))
-                found = collect_convoys(mined.collect(), "window")
-                scanned.append(seen.get["n"])
-            # A window without result rows either lost its convoys or had no
-            # candidate point inside. HWMT over no points says which: nothing,
-            # unless the window has no interior and its candidates span it.
-            return [
-                found.get(i) or hwmt(_NO_POINTS, [w], [cc], m, eps)[0]
-                for i, (w, cc) in enumerate(zip(windows, ccs))
-            ]
-
-        def extension_store(merged: list[Convoy]) -> HopStore:
-            """The maximal spanning convoys' objects, one hop around each."""
-            stores.append(HopStore(df, time_range, hop_length(k), merged))
-            return stores[-1]
-
-        res = run_phases(
-            time_range, cluster_snapshots, mine_windows, extension_store, m, k, eps
-        )
-        res.points_processed = sum(scanned) + sum(s.collected for s in stores)
-        res.pruning_pct = 100.0 * (1.0 - res.points_processed / total) if total else 0.0
-        return res
+    res = run_phases(
+        time_range, cluster_snapshots, mine_windows, extension_store, m, k, eps
+    )
+    res.points_processed = sum(scanned) + sum(s.collected for s in stores)
+    res.pruning_pct = 100.0 * (1.0 - res.points_processed / total) if total else 0.0
+    return res

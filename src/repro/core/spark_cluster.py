@@ -2,7 +2,10 @@
 
 * :func:`spark_input` — the one Spark input boundary: it re-roots the
   input on block-manager copies of its rows, and takes the row count, span
-  and row checks from one aggregate.
+  and row checks from one aggregate. It does so once per DataFrame object
+  and holds the result until the caller drops that object, so repeated
+  queries on one frame pay for neither again; a frame whose source data
+  changes must be rebuilt to be re-read.
 * :func:`snapshot_clusters` — per-snapshot density clustering. It has no
   Catalyst expression, so it runs as ``groupBy("t").applyInPandas``:
   Catalyst plans the scan, filter and shuffle, and DBSCAN runs per
@@ -15,14 +18,13 @@
 """
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+import weakref
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
+from pyspark import SparkContext
 from pyspark.sql import DataFrame, Row
-from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core.clustering import meps_clusters
@@ -38,10 +40,31 @@ CLUSTERS_SCHEMA = StructType(
 )
 
 
-@contextmanager
-def spark_input(df: DataFrame) -> Iterator[tuple[DataFrame, int, tuple[int, int]]]:
-    """Yield ``df``'s (t, oid, x, y) columns re-rooted, its row count and its
-    span (Ts, Te); release the re-rooted rows on exit.
+#: spark_input's result for each caller frame still alive
+_INPUTS: weakref.WeakKeyDictionary[DataFrame, tuple[DataFrame, int, tuple[int, int]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+#: the rows that pass each input check, as parsed SQL aggregates
+_PASSING = {
+    "non-integral t": "count(CASE WHEN t % 1 = 0 THEN 1 END)",
+    "non-finite x/y": "count(CASE WHEN "
+    + " AND ".join(f"{c} > double('-inf') AND {c} < double('inf')" for c in ("x", "y"))
+    + " THEN 1 END)",
+    "duplicate (t, oid)": "count(DISTINCT t, oid)",
+}
+
+
+def spark_input(df: DataFrame) -> tuple[DataFrame, int, tuple[int, int]]:
+    """``df``'s (t, oid, x, y) columns re-rooted, its row count and its span
+    (Ts, Te), checked and re-rooted once per ``df`` object.
+
+    The result is kept for as long as the caller holds ``df``: every later
+    call on the same object, by any Spark miner, returns it without a job.
+    A frame whose source data changes must be rebuilt to be re-read. The
+    re-rooted rows are released when ``df`` is dropped; a miner keeps its
+    ``df`` argument alive while it runs on them. A failed check keeps
+    nothing, so a malformed frame raises on every call.
 
     Every caller builds its input with ``createDataFrame(pandas)``, whose
     plan embeds all rows in a ``LocalRelation``; ``cache()`` keeps it in
@@ -53,36 +76,44 @@ def spark_input(df: DataFrame) -> Iterator[tuple[DataFrame, int, tuple[int, int]
     analysed; a ``select`` first would plan the embedded rows afresh, so
     the columns are selected afterwards, and only when they differ. The
     checkpoint is lazy: the first job on it, the one aggregate below, fills
-    the blocks. They are registered before that job runs, so they are
-    released however the ``with`` body exits, even when that job fails.
+    the blocks. Their release is registered before that job runs, so they
+    are released at once when it fails or a check rejects the frame.
 
-    The aggregate takes the count and span and counts validate_frame's
-    bad rows (null and NaN fail every comparison, so they count too); any
-    bad row raises its ``ValueError``. A duplicate is a row beyond the first
-    of its (t, oid) key; a row whose t or oid is null has no key, so it
-    counts as one too.
+    The aggregate is one parsed SQL string (a ``Column`` operator is a py4j
+    call each). It takes the count and span and counts validate_frame's bad
+    rows (null and NaN fail every comparison, so they count too); any bad
+    row raises its ``ValueError``. A duplicate is a row beyond the first of
+    its (t, oid) key; a row whose t or oid is null has no key, so it counts
+    as one too.
     """
-    finite = [(F.col(c) > -math.inf) & (F.col(c) < math.inf) for c in ("x", "y")]
-    # Each check's aggregate counts the rows that pass it.
-    passing = {
-        "non-integral t": F.count(F.when(F.col("t") % 1 == 0, 1)),
-        "non-finite x/y": F.count(F.when(finite[0] & finite[1], 1)),
-        "duplicate (t, oid)": F.count_distinct("t", "oid"),
-    }
-    df = df.localCheckpoint(eager=False)
+    got = _INPUTS.get(df)
+    if got is not None:
+        return got
+    rooted = df.localCheckpoint(eager=False)
     # ``DataFrame.unpersist`` leaves checkpoint blocks alone; their RDD
     # releases them.
-    blocks = df._jdf.queryExecution().logical().rdd()
+    blocks = rooted._jdf.queryExecution().logical().rdd()
+    release = weakref.finalize(df, _release, df.sparkSession.sparkContext, blocks)
+    release.atexit = False
     try:
-        if df.columns != COLUMNS:
-            df = df.select(*COLUMNS)
-        total, ts, te, *n_pass = df.agg(
-            F.count(F.lit(1)), F.min("t"), F.max("t"), *passing.values()
+        if rooted.columns != COLUMNS:
+            rooted = rooted.select(*COLUMNS)
+        total, ts, te, *n_pass = rooted.selectExpr(
+            "count(1)", "min(t)", "max(t)", *_PASSING.values()
         ).first()
-        reject({what: f"{total - n} rows" for what, n in zip(passing, n_pass) if n < total})
-        # An empty frame has no min/max; (0, -1) is the stores' empty span.
-        yield df, total, (int(ts), int(te)) if total else (0, -1)
-    finally:
+        reject({what: f"{total - n} rows" for what, n in zip(_PASSING, n_pass) if n < total})
+    except BaseException:
+        release()
+        raise
+    # An empty frame has no min/max; (0, -1) is the stores' empty span.
+    got = _INPUTS[df] = rooted, total, (int(ts), int(te)) if total else (0, -1)
+    return got
+
+
+def _release(sc: SparkContext, blocks) -> None:
+    """Unpersist the checkpoint RDD ``blocks`` of a frame of ``sc``; once
+    ``sc`` is no longer the active context, its JVM objects are gone."""
+    if SparkContext._active_spark_context is sc:
         blocks.unpersist(True)
 
 
