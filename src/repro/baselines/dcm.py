@@ -57,8 +57,8 @@ def dcm(
     parts = base.unionByName(dup)
 
     def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
-        # A timestamp without rows yields no clusters, which closes every
-        # open candidate just as the sweep's gap rule does.
+        # A timestamp without rows yields no clusters, an empty step of
+        # the sweep's merge, which closes every open candidate.
         p = int(pdf["p"].iloc[0])
         lo = ts + p * L
         hi = min(ts + (p + 1) * L, te)

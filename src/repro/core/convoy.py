@@ -7,11 +7,12 @@ dropping strict sub-convoys (Definitions 6/7) — the paper's ``update()``
 helper, implemented here as :func:`update` / :func:`antichain`.
 
 :func:`antichain` is the one maximality rule: no other code drops one
-open convoy for another. It prunes the open convoys of the sweep
-(``core/sweep.py``), the DCM-merge (``core/merge.py``) and extension
-(``core/extend.py``, which also records closed convoys with
-:func:`update`), and it gives the final answer of the sweep, the merge,
-validation (``core/validate.py``), SPARE and both brute-force miners.
+open convoy for another. It prunes the open convoys of the DCM-merge
+(``core/merge.py``, which the sweep in ``core/sweep.py`` runs over
+one-timestamp steps) and extension (``core/extend.py``, which also
+records closed convoys with :func:`update`), and it gives the final
+answer of the merge (and so of the sweep), validation
+(``core/validate.py``), SPARE and both brute-force miners.
 Open convoys share one end (DCM's partition fragments aside, see
 ``core/merge.py``), and there the sub-convoy order is "same objects,
 keep the widest lifespan" plus "drop O ⊂ O′ when the lifespan of O′

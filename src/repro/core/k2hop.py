@@ -24,9 +24,10 @@ snapshots in one store call, and HWMT and extension advance all windows
 and convoys in lockstep rounds with one store call per round.
 ``core/k2hop_spark.py`` runs the two maps as Spark jobs.
 
-Every phase is timed, and when the store is a :class:`MeteredStore` the
-point reads are attributed per phase — together these produce the
-paper's Table 5 (pruning) and Fig. 8i (phase breakdown) numbers.
+Every phase is timed, and :func:`k2hop` reads through a
+:class:`MeteredStore` that attributes the point reads per phase —
+together these produce the paper's Table 5 (pruning) and Fig. 8i (phase
+breakdown) numbers.
 """
 from __future__ import annotations
 
@@ -170,7 +171,9 @@ def k2hop(
     ``do_validate=False`` stops after extension, returning the
     *semi-connected* candidates — the pre-validation set Fig. 8j counts.
     """
-    metered = store if isinstance(store, MeteredStore) else None
+    # Every run is metered: a bare store is wrapped, a metered one kept,
+    # so its caller can read the per-phase counts too.
+    store = store if isinstance(store, MeteredStore) else MeteredStore(store)
     # These maps, like run_phases, look the phase functions up in this
     # module's globals when they run, so a wrapper set on the module by
     # name (perfbench/tracing.py) sees every call.
@@ -183,9 +186,8 @@ def k2hop(
         k,
         eps,
         do_validate=do_validate,
-        set_phase=metered.set_phase if metered else None,
+        set_phase=store.set_phase,
     )
-    if metered is not None:
-        res.points_processed = metered.points_processed
-        res.pruning_pct = metered.pruning_pct
+    res.points_processed = store.points_processed
+    res.pruning_pct = store.pruning_pct
     return res

@@ -1,22 +1,24 @@
-"""DCM-merge: chaining 1st-order spanning convoys into maximal spanning
-convoys (paper §4.4, Table 3; merge operator from the DCM paper [16]).
+"""DCM-merge: the one convoy-chaining rule (paper §4.4, Table 3; merge
+operator from the DCM paper [16]).
 
-Windows are processed left to right. An *open* convoy ends at the
-current boundary benchmark point and may still merge with the next
-window's spanning convoys; merging intersects object sets (keeping
-results with ≥ m objects) and concatenates lifespans. An open convoy
-closes when no next-window convoy contains its full object set — it
-cannot be extended in its current shape (the white-background rows of
-Table 3). The final result is the maximal antichain of closed + still-
-open convoys.
+Steps are processed left to right. An *open* convoy ``v`` merges with a
+next-step convoy ``w`` when ``v.te <= w.ts <= v.te + 1``: k/2-hop's
+hop-windows share a benchmark point and DCM's partitions their boundary
+timestamp (``w.ts == v.te``), while the sweep's one-timestamp steps
+(``core/sweep.py``) are consecutive snapshots (``w.ts == v.te + 1``).
+Merging intersects object sets (keeping results with ≥ m objects) and
+concatenates lifespans. ``v`` closes when no such ``w`` contains its
+full object set — it cannot be extended in its current shape (the
+white-background rows of Table 3). The result is the maximal antichain
+of closed + still-open convoys.
 
-The open set is the :func:`antichain` of each step's convoys. In
-k/2-hop they all end at the same benchmark point, so only convoys whose
-every future merge is a sub-convoy of another's are dropped. The DCM
-baseline feeds per-partition fragments that may end before their
-partition's boundary; those can never merge again (merging needs
-``v.te == w.ts``), so dropping them early loses nothing the final
-antichain keeps.
+The open set is the :func:`antichain` of each step's convoys. In the
+sweep and in k/2-hop they all end together, so only convoys whose every
+future merge is a sub-convoy of another's are dropped. DCM fragments may
+end or start one timestamp off their partition's boundary, so the
+``v.te + 1`` case can also merge across a boundary without its shared
+timestamp; each such merge is a sub-convoy of one made through that
+timestamp, so the final antichain is unchanged.
 """
 from __future__ import annotations
 
@@ -24,21 +26,24 @@ from repro.core.convoy import Convoy, antichain
 
 
 def dcm_merge(per_window: list[list[Convoy]], m: int) -> list[Convoy]:
-    """Merge per-window spanning convoys into maximal spanning convoys.
+    """Merge the convoys of consecutive steps into maximal convoys.
 
-    ``per_window`` holds the 1st-order spanning convoy lists of
-    *consecutive* hop-windows, each convoy spanning [b_i, b_{i+1}].
+    ``per_window`` holds one convoy list per step: the 1st-order spanning
+    convoys of a hop-window, a DCM partition's fragments, or one
+    snapshot's clusters as one-timestamp convoys. Every convoy holds ≥ m
+    objects, so one that survives whole in a ``w`` also merges with it.
     """
     closed: set[Convoy] = set()
     open_set: set[Convoy] = set()
-    for spanning in per_window:
-        nxt = list(spanning)
+    for step in per_window:
+        nxt = list(step)
         for v in open_set:
-            # Convoys only meet when v ends where w starts.
-            for w in spanning:
-                if v.te == w.ts and len(inter := v.objs & w.objs) >= m:
+            # Convoys only meet when w starts where v ends or right after.
+            meets = [w for w in step if v.te <= w.ts <= v.te + 1]
+            for w in meets:
+                if len(inter := v.objs & w.objs) >= m:
                     nxt.append(Convoy(ts=v.ts, te=w.te, objs=inter))
-            if not any(v.te == w.ts and v.objs <= w.objs for w in spanning):
+            if not any(v.objs <= w.objs for w in meets):
                 closed.add(v)
         open_set = antichain(nxt)
     return sorted(antichain(closed | open_set))

@@ -1,15 +1,14 @@
 """Exhaustive convoy sweep over a per-timestamp cluster sequence.
 
 This is the corrected CMC-style miner (PCCD semantics, Yoon & Shahabi):
-scan timestamps in order keeping *all* maximal candidate convoys open,
-intersect each with every cluster of the next snapshot, and emit a
-candidate when it cannot be continued in its current shape, i.e. when no
-cluster holds all its objects. Unlike the original CMC, candidates are
-not matched greedily — every (candidate × cluster) intersection of size
-≥ m is kept — which fixes CMC's known accuracy/recall bugs. The open set
-is the :func:`antichain` of the new clusters and the intersections; all
-of them end at the current timestamp, so only candidates whose every
-continuation is a sub-convoy of another's are dropped.
+the DCM-merge (:func:`repro.core.merge.dcm_merge`) over one-timestamp
+steps, each snapshot's clusters as convoys ``[t, t]``. Consecutive
+snapshots are one timestamp apart, so the merge keeps *all* maximal
+candidate convoys open, intersects each with every cluster of the next
+snapshot, and closes a candidate when no cluster holds all its objects
+or the next timestamp is missing. Unlike the original CMC, candidates
+are not matched greedily — every (candidate × cluster) intersection of
+size ≥ m is kept — which fixes CMC's known accuracy/recall bugs.
 
 Used by: the VCoDA/PCCD baselines (over full snapshots), the DCM
 baseline (per temporal partition), and k/2-hop's validation phase
@@ -22,8 +21,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.core.clustering import Memo, meps_clusters
-from repro.core.convoy import Convoy, antichain
+from repro.core.convoy import Convoy
 from repro.core.hwmt import recluster
+from repro.core.merge import dcm_merge
 from repro.stores.base import TrajectoryStore
 
 
@@ -44,34 +44,12 @@ def sweep_maximal_convoys(
     shorter than k are also emitted when they start at ``t_lo`` or end
     at ``t_hi`` — such fragments may grow across partition borders.
     """
-    out: set[Convoy] = set()
-    open_set: set[Convoy] = set()  # every member ends at the previous t
-
-    def close(v: Convoy) -> None:
-        if v.length >= k or (
-            edge_ts is not None and (v.ts == edge_ts[0] or v.te == edge_ts[1])
-        ):
-            out.add(v)
-
-    t_prev: int | None = None
-    for t, clusters in cluster_seq:
-        if t_prev is not None and t != t_prev + 1:  # gap: close everything
-            for v in open_set:
-                close(v)
-            open_set = set()
-        nxt = [Convoy(ts=t, te=t, objs=c) for c in clusters]
-        for v in open_set:
-            for c in clusters:
-                if len(inter := v.objs & c) >= m:
-                    nxt.append(Convoy(ts=v.ts, te=t, objs=inter))
-            # Close candidates that did not survive in their current shape.
-            if not any(v.objs <= c for c in clusters):
-                close(v)
-        open_set = antichain(nxt)
-        t_prev = t
-    for v in open_set:
-        close(v)
-    return sorted(antichain(out))
+    steps = [[Convoy(ts=t, te=t, objs=c) for c in clusters] for t, clusters in cluster_seq]
+    lo, hi = edge_ts if edge_ts is not None else (None, None)
+    # A convoy dominating a kept one is as long and touches the same
+    # edge, so filtering the merge's antichain equals the antichain of
+    # the filtered convoys.
+    return [v for v in dcm_merge(steps, m) if v.length >= k or v.ts == lo or v.te == hi]
 
 
 def store_cluster_seq(

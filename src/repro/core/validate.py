@@ -7,7 +7,8 @@ otherwise the (strictly smaller) convoys found are re-validated, until
 candidates either prove FC or fall below m objects / k timestamps.
 
 The restricted miner — the paper's HWMT* — is implemented as the exact
-exhaustive sweep over the restriction (see DESIGN.md §5): on the tiny
+exhaustive sweep over the restriction, i.e. the DCM-merge over its
+one-timestamp steps (see DESIGN.md §5): on the tiny
 restricted datasets both formulations are exact, and the paper measures
 validation time as negligible (Fig. 8i).
 

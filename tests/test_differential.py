@@ -16,6 +16,7 @@ the timeline's length and ``m`` past the number of objects.
 from contextlib import closing
 
 import pandas as pd
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import brute_force_convoys, brute_force_fc_convoys
@@ -71,6 +72,30 @@ def test_fc_miners_equal_bruteforce(query):
     for store in (RDBMSStore(df), LSMTStore(df, memtable_limit=2)):
         with closing(store):
             assert k2hop(store, m, k, EPS).convoys == exp
+
+
+@pytest.mark.xfail(strict=True, reason="border points are exclusive; the FC oracle's are not")
+def test_fc_miners_equal_bruteforce_shared_border():
+    """A world ``test_fc_miners_equal_bruteforce`` can draw, pinned.
+
+    At t = 1 objects 2 and 3 are border points of two cores, 4 at (3, 1)
+    and 5 at (2, 2), which are not density-connected. DBSCAN here gives a
+    border point to one cluster only, so 2 and 3 join 4's cluster and 5's
+    keeps {1, 5}, below m. Restricted to {1, 2, 3, 5}, 5's cluster is all
+    four, so the FC oracle finds {1,2,3,5}[1,2] while every miner, and the
+    partially connected brute force, finds nothing.
+    """
+    at = {1: [(3, 0), (1, 2), (2, 1), (3, 2), (3, 1), (2, 2)],
+          2: [None, (1, 2), (2, 1), (3, 2), None, (2, 2)]}
+    rows = [(t, o, float(p[0]), float(p[1]))
+            for t, ps in at.items() for o, p in enumerate(ps) if p is not None]
+    df = pd.DataFrame(rows, columns=COLUMNS)
+    file = FileStore(df)
+    m, k = 4, 2
+    exp = brute_force_fc_convoys(file, m, k, EPS)
+    assert vcoda(file, m, k, EPS) == exp
+    assert vcoda_star(file, m, k, EPS) == exp
+    assert k2hop(file, m, k, EPS).convoys == exp
 
 
 @settings(max_examples=150, deadline=None)

@@ -120,6 +120,11 @@ class TestPruningInstrumentation:
         # Convoys are rare → the vast majority of points never read.
         assert res.pruning_pct > 80.0
         assert set(res.phase_seconds) >= {"benchmark", "hwmt", "merge"}
+        # A bare store is metered too, with the same counts.
+        bare = k2hop(FileStore(df), 4, 30, 10.0)
+        assert (bare.points_processed, bare.pruning_pct) == (
+            res.points_processed, res.pruning_pct
+        )
 
     def test_benchmark_phase_reads_all_benchmark_snapshots(self):
         df, _ = convoy_scene(

@@ -113,6 +113,25 @@ class TestMergeSemantics:
             convoy([1, 2], 0, 10), convoy([1, 2, 3], 4, 5),
         ]
 
+    def test_next_timestamp_merges(self):
+        # w starting right after v ends joins it, as consecutive snapshots do.
+        h0 = [convoy([1, 2, 3], 0, 2)]
+        h1 = [convoy([2, 3, 4], 3, 5)]
+        assert set(dcm_merge([h0, h1], 2)) == {
+            convoy([1, 2, 3], 0, 2), convoy([2, 3], 0, 5), convoy([2, 3, 4], 3, 5),
+        }
+
+    def test_skipped_timestamp_closes(self):
+        # A timestamp between v's end and w's start: nothing joins.
+        h0 = [convoy([1, 2], 0, 2)]
+        h1 = [convoy([1, 2], 4, 5)]
+        assert set(dcm_merge([h0, h1], 2)) == set(h0 + h1)
+
+    def test_whole_survival_at_next_timestamp_stays_open(self):
+        # {1,2} ⊆ {1,2,3} at v.te + 1, so {1,2} goes on merging after it.
+        per_w = [[convoy([1, 2], 0, 1)], [convoy([1, 2, 3], 2, 3)], [convoy([1, 2], 4, 5)]]
+        assert set(dcm_merge(per_w, 2)) == {convoy([1, 2], 0, 5), convoy([1, 2, 3], 2, 3)}
+
     def test_result_is_antichain(self):
         got = dcm_merge(_fig5_windows(), 2)
         for v in got:
