@@ -7,7 +7,8 @@ For each ``workload:seed`` it runs ``perfbench/run.py``, unchanged and with
 its own run length, N times on an export of ``--base`` (default ``HEAD``) and
 N times on the working tree, alternating which side runs first, then one
 traced run (``--trace 1``) per side. It writes ``BENCH_<label>.json`` at the repo root, or adds its entries
-to an existing one, so workloads can be recorded one invocation at a time:
+to an existing one, so workloads can be recorded one invocation at a time. The
+file is rewritten after every pair, so an interrupted run keeps what it measured:
 
 * per end-to-end metric of ``BENCHMARK.json``: each side's runs, median and
   quartiles (``statistics.quantiles(n=4)``), whether every run of that side
@@ -15,6 +16,8 @@ to an existing one, so workloads can be recorded one invocation at a time:
   the count repeats), and how many pairs the change won and tied;
 * per workload and seed: failed queries per side and the traced runs'
   per-layer metrics;
+* each run that exits non-zero, under ``crashed``: its pair, side, exit code
+  and the tail of its stderr. Its pair is left out of the metrics;
 * ``nproc``, the machine and both commits (the working tree's is ``HEAD``,
   marked when it has uncommitted changes).
 """
@@ -34,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: lines of a crashed run's stderr kept in the record
+STDERR_LINES = 20
 
 
 def git(*args: str) -> str:
@@ -50,12 +55,13 @@ def export(rev: str, dest: Path) -> None:
 
 
 def perfbench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
-    """One run's result line: ``correct``, ``attempted``, ``failed``, ``metrics``."""
+    """One run's result line: ``correct``, ``attempted``, ``failed``, ``metrics``;
+    for a run that exits non-zero, its ``exit`` code and ``stderr`` tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(int(trace))]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr}")
+        return {"exit": out.returncode, "stderr": out.stderr.splitlines()[-STDERR_LINES:]}
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -67,7 +73,7 @@ def summary(runs: list[float]) -> dict:
 
 def pairs_entry(runs: dict[str, list[dict]], first: list[str], metrics: dict[str, str]) -> dict:
     out = {}
-    for name, better in metrics.items():
+    for name, better in metrics.items() if first else ():
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         sign = 1 if better == "lower" else -1
         diffs = [sign * (p - c) for p, c in zip(vals["parent"], vals["change"])]
@@ -118,15 +124,22 @@ def main() -> int:
             workload, seed = spec.split(":")
             key = f"{workload} seed {seed}"
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            first = []
+            first, crashed = [], []
             for i in range(args.pairs):
                 order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-                first.append(order[0])
-                for side in order:
-                    runs[side].append(perfbench(trees[side], workload, int(seed), False))
-                print(key, i + 1, {s: runs[s][-1]["metrics"]["sweep_s"]["value"] for s in order},
+                pair = {side: perfbench(trees[side], workload, int(seed), False) for side in order}
+                bad = [{"pair": i, "side": side, **r} for side, r in pair.items() if "exit" in r]
+                if bad:
+                    crashed += bad
+                else:
+                    first.append(order[0])
+                    for side in order:
+                        runs[side].append(pair[side])
+                print(key, i + 1, {s: r["metrics"]["sweep_s"]["value"] if "metrics" in r
+                                   else f"exit {r['exit']}" for s, r in pair.items()},
                       file=sys.stderr, flush=True)
-            record["workloads"][key] = pairs_entry(runs, first, metrics)
+                record["workloads"][key] = {**pairs_entry(runs, first, metrics), "crashed": crashed}
+                path.write_text(json.dumps(record, indent=1) + "\n")
             record["traced"][key] = {
                 side: {k: v for k, v in perfbench(tree, workload, int(seed), True).items()
                        if k != "attempted"}

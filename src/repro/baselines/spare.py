@@ -7,9 +7,10 @@ Two pipelined stages, as in the original:
 1. **Snapshot clustering** (the stage the paper faults SPARE for
    treating as free preprocessing): per-timestamp DBSCAN via
    ``groupBy("t").applyInPandas`` over the *whole* dataset.
-2. **Star partitioning + apriori enumeration**: every cluster is
-   decomposed into stars — for each member ``o``, the neighbors with a
-   larger oid — shuffled by star vertex; each star then enumerates, by
+2. **Star partitioning + apriori enumeration**: every cluster, one
+   convoy row from stage 1, is mapped (``mapInPandas``, no shuffle) into
+   stars — for each member ``o``, the neighbors with a larger oid —
+   which are shuffled by star vertex; each star then enumerates, by
    depth-first apriori over its neighbor sets with run-length pruning
    (SPARE's sequence simplification), the maximal object groups
    containing its vertex as minimum that stay co-clustered for ≥ k
@@ -20,6 +21,8 @@ maximal partially-connected convoys — the tests assert equality with
 PCCD, and the benchmarks compare its runtime against k/2-hop (Fig 7d).
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -43,15 +46,16 @@ STAR_SCHEMA = StructType(
 )
 
 
-def _stars(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Decompose one snapshot's clusters into star edges (o → larger p)."""
-    rows = []
-    for (t, _cid), grp in pdf.groupby(["t", "cid"]):
-        oids = sorted(int(o) for o in grp["oid"])
-        for i, o in enumerate(oids):
-            for p in oids[i + 1 :]:
-                rows.append((o, int(t), p))
-    return pd.DataFrame(rows, columns=["star", "t", "nbr"])
+def _stars(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    """Decompose clusters, one a row, into star edges (o → larger p)."""
+    for pdf in batches:
+        rows = []
+        for t, objs in zip(pdf["t"], pdf["objs"]):
+            oids = sorted(int(o) for o in objs)
+            for i, o in enumerate(oids):
+                for p in oids[i + 1 :]:
+                    rows.append((o, int(t), p))
+        yield pd.DataFrame(rows, columns=["star", "t", "nbr"])
 
 
 def _max_runs(times: list[int], k: int) -> list[tuple[int, int]]:
@@ -116,7 +120,7 @@ def spare(
     """Maximal (partially-connected) convoys via the SPARE pipeline."""
     rooted, _total, _span = spark_input(df)
     clusters = snapshot_clusters(rooted, m, eps)
-    stars = clusters.groupBy("t").applyInPandas(_stars, STAR_SCHEMA)
+    stars = clusters.mapInPandas(_stars, STAR_SCHEMA)
     cands = stars.groupBy("star").applyInPandas(
         lambda pdf: _enumerate_star(pdf, k, m), convoy_schema("star")
     )

@@ -8,13 +8,13 @@ key timestamps):
 1. **Benchmark clustering** — ``df.filter(t ∈ B)`` (a Catalyst scan of
    ~2·|DB|/k of the data) then per-snapshot DBSCAN via
    ``groupBy("t").applyInPandas``.
-2. **HWMT fan-out** — a (window, oid) candidate table is joined
-   against the trajectory table (``oid`` equi-join + timestamp range
-   predicate), which is exactly the "prune objects with map/filter"
-   step: Catalyst plans a shuffle join that touches only candidate
-   objects inside their windows. ``groupBy(window).applyInPandas`` then
-   runs the sequential HWMT per window (windows are independent, the
-   property the paper highlights for distribution).
+2. **HWMT fan-out** — the "prune objects with map/filter" step: one
+   Catalyst filter (:func:`range_filter`) reads each window's candidate
+   objects over its interior, the read the extension store makes too.
+   Each row is tagged with its window, ``(t − Ts) div h``, and
+   ``groupBy(window).applyInPandas`` runs the sequential HWMT per window
+   (windows are independent, the property the paper highlights for
+   distribution).
 3. **Extension store** — a :class:`HopStore` on the driver. Its first
    job collects each merged convoy object's rows over the hull of
    ``[ts − h, te + h]`` (h = ⌊k/2⌋) of the merged convoys that hold it:
@@ -78,7 +78,8 @@ def _counted(frame: DataFrame) -> tuple[DataFrame, Observation]:
 def range_filter(ranges: Iterable[tuple[int, int, int]]) -> Column:
     """The rows of object ``o`` with ``lo <= t <= hi``, for every ``(o, lo,
     hi)`` of ``ranges`` (at least one): one ``oid IN (…) AND t BETWEEN lo
-    AND hi`` disjunct per distinct ``(lo, hi)``.
+    AND hi`` disjunct per distinct ``(lo, hi)``. It is the one pruned read
+    of both the hop-windows and the extension store.
 
     It is one SQL expression, parsed in one call. Built from ``Column``
     operators, a py4j call each, a tdrive query's filter took ~57 ms just
@@ -182,24 +183,21 @@ def k2hop_spark(
     def mine_windows(
         windows: list[tuple[int, int]], ccs: list[list[frozenset[int]]], _memo: Memo
     ) -> list[list[Convoy]]:
-        """HWMT per hop-window over the pruned (window, oid) join. It runs
+        """HWMT per hop-window over its candidates' interior rows. It runs
         on the workers, so only extension and validation share the memo."""
-        cand_rows = [
-            (i, int(oid), int(lo), int(hi))
-            for i, ((lo, hi), cc) in enumerate(zip(windows, ccs))
+        ranges = [
+            (oid, lo + 1, hi - 1)
+            for (lo, hi), cc in zip(windows, ccs)
+            if hi - lo > 1
             for group in cc
             for oid in group
         ]
         found: dict[int, list[Convoy]] = {}
-        if cand_rows:
-            cand = spark.createDataFrame(
-                pd.DataFrame(cand_rows, columns=["window", "oid", "w_lo", "w_hi"])
-            )
-            pruned, seen = _counted(
-                rooted.join(cand, on="oid").where(
-                    (F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi"))
-                )
-            )
+        if ranges:
+            pruned, seen = _counted(rooted.filter(range_filter(ranges)))
+            # Window i's interior lies strictly between Ts + i·h and
+            # Ts + (i+1)·h, so each row belongs to one window.
+            window = F.expr(f"(t - ({time_range[0]})) div {hop_length(k)}")
 
             def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
                 # A window's groups are disjoint and spark_input rejected
@@ -208,7 +206,9 @@ def k2hop_spark(
                 spanning = hwmt(FileStore(pdf), [windows[w]], [ccs[w]], m, eps)[0]
                 return convoy_frame("window", w, spanning)
 
-            mined = pruned.groupBy("window").applyInPandas(_mine, convoy_schema("window"))
+            mined = pruned.withColumn("window", window).groupBy("window").applyInPandas(
+                _mine, convoy_schema("window")
+            )
             found = collect_convoys(mined.collect(), "window")
             scanned.append(seen.get["n"])
         # A window without result rows either lost its convoys or had no

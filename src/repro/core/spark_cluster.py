@@ -11,17 +11,18 @@
   Catalyst plans the scan, filter and shuffle, and DBSCAN runs per
   snapshot in Arrow batches — the shape of SPARE's first MapReduce stage
   (timestamp as the map key, clustering in the reduce) and the one the
-  repro hint prescribes for this paper.
+  repro hint prescribes for this paper. Each cluster leaves the worker as
+  one row, a one-timestamp convoy keyed by ``t``.
 * :func:`convoy_schema` / :func:`convoy_frame` / :func:`collect_convoys`
-  — the one convoy row codec: convoys leave a Python worker as
-  ``(key, ts, te, objs)`` rows and reach the driver grouped by key.
+  — the one convoy row codec: convoys, snapshot clusters among them,
+  leave a Python worker as ``(key, ts, te, objs)`` rows and reach the
+  driver grouped by key.
 """
 from __future__ import annotations
 
 import weakref
 from typing import Iterable
 
-import numpy as np
 import pandas as pd
 from pyspark import SparkContext
 from pyspark.sql import DataFrame, Row
@@ -30,15 +31,6 @@ from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 from repro.core.clustering import meps_clusters
 from repro.core.convoy import Convoy
 from repro.stores.base import COLUMNS, reject
-
-CLUSTERS_SCHEMA = StructType(
-    [
-        StructField("t", LongType()),
-        StructField("oid", LongType()),
-        StructField("cid", LongType()),
-    ]
-)
-
 
 #: spark_input's result for each caller frame still alive
 _INPUTS: weakref.WeakKeyDictionary[DataFrame, tuple[DataFrame, int, tuple[int, int]]] = (
@@ -118,37 +110,28 @@ def _release(sc: SparkContext, blocks) -> None:
 
 
 def snapshot_clusters(df: DataFrame, m: int, eps: float) -> DataFrame:
-    """(t, oid, x, y) → (t, oid, cid) membership of each snapshot's
-    (m,eps)-clusters (``meps_clusters``); cids are unique within a
-    timestamp only. Objects in no cluster have no row.
+    """(t, oid, x, y) → each snapshot's (m,eps)-clusters (``meps_clusters``)
+    as one-timestamp convoys, rows of :func:`convoy_schema` ``("t")``.
+    Objects in no cluster are in no row.
     """
 
     def _cluster(pdf: pd.DataFrame) -> pd.DataFrame:
         # Spark hands a group's rows over in no set order; DBSCAN's border
         # ownership follows row order, and the stores serve oid order.
         pdf = pdf.sort_values("oid")
+        t = int(pdf["t"].iat[0])
         clusters = meps_clusters(pdf["oid"].to_numpy(), pdf[["x", "y"]].to_numpy(), m, eps)[0]
-        sizes = [len(c) for c in clusters]
-        return pd.DataFrame(
-            {
-                "t": np.full(sum(sizes), pdf["t"].iat[0], dtype=np.int64),
-                "oid": np.fromiter((o for c in clusters for o in c), np.int64, sum(sizes)),
-                "cid": np.repeat(np.arange(len(clusters), dtype=np.int64), sizes),
-            }
-        )
+        return convoy_frame("t", t, (Convoy(ts=t, te=t, objs=c) for c in clusters))
 
-    return df.groupBy("t").applyInPandas(_cluster, CLUSTERS_SCHEMA)
+    return df.groupBy("t").applyInPandas(_cluster, convoy_schema("t"))
 
 
-def collect_cluster_sets(
-    clusters: DataFrame,
-) -> dict[int, list[frozenset[int]]]:
-    """Collect a (t, oid, cid) frame into {t: [cluster object sets]}."""
-    pdf = clusters.toPandas()
-    out: dict[int, list[frozenset[int]]] = {}
-    for (t, _cid), grp in pdf.groupby(["t", "cid"]):
-        out.setdefault(int(t), []).append(frozenset(int(o) for o in grp["oid"]))
-    return out
+def collect_cluster_sets(clusters: DataFrame) -> dict[int, list[frozenset[int]]]:
+    """Collect :func:`snapshot_clusters` rows into {t: [cluster object sets]}."""
+    return {
+        t: [v.objs for v in found]
+        for t, found in collect_convoys(clusters.collect(), "t").items()
+    }
 
 
 def convoy_schema(key: str) -> StructType:

@@ -1,6 +1,7 @@
 """Distributed k/2-hop: equality with the sequential algorithm, pruning
-accounting, the driver's extension store, and DuckDB-oracle checks of the
-pruned hop-window join and of the extension store's collection filter."""
+accounting and an exact read count, the driver's extension store, and a
+DuckDB-oracle check of the one pruned read (``range_filter``) that both the
+hop-windows and the extension store collect through."""
 import math
 import uuid
 from contextlib import contextmanager
@@ -8,7 +9,6 @@ from contextlib import contextmanager
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines.bruteforce import brute_force_fc_convoys
 from repro.core.convoy import Convoy
@@ -89,33 +89,19 @@ class TestK2HopSpark:
         assert 0 < res.points_scanned < len(df)
         assert res.pruning_pct > 50.0
 
-
-class TestPrunedJoinOracle:
-    def test_candidate_join_matches_sql_semijoin(self, spark):
-        """The hop-window pruned read is a Catalyst join; its result must
-        equal the equivalent SQL over DuckDB."""
-        from repro.oracle import assert_equivalent
-
-        df, _ = convoy_scene(
-            n_objects=20, n_timestamps=20, n_convoys=1, convoy_size=4,
-            convoy_len=12, eps=10.0, seed=3,
-        )
-        cand = pd.DataFrame(
-            {"oid": [0, 1, 2, 3], "w_lo": [4, 4, 4, 4], "w_hi": [10, 10, 10, 10]}
-        )
-        sdf = spark.createDataFrame(df)
-        got = (
-            sdf.join(spark.createDataFrame(cand), on="oid")
-            .where((F.col("t") > F.col("w_lo")) & (F.col("t") < F.col("w_hi")))
-            .select("t", "oid", "x", "y")
-        )
-        assert_equivalent(
-            got,
-            """SELECT d.t, d.oid, d.x, d.y FROM pts d JOIN cand c ON d.oid = c.oid
-               WHERE d.t > c.w_lo AND d.t < c.w_hi""",
-            pts=df,
-            cand=cand,
-        )
+    def test_reads_exactly_what_each_phase_needs(self, spark):
+        groups = {t: [[0, 1, 2]] if 2 <= t <= 10 else [] for t in range(14)}
+        df = scene_from_groups(groups, list(range(6)))
+        res = k2hop_spark(spark, spark.createDataFrame(df), 3, 4, EPS)
+        assert res.convoys == [Convoy(ts=2, te=10, objs=frozenset({0, 1, 2}))]
+        # h = 2. Every benchmark snapshot; the candidates {0, 1, 2} strictly
+        # inside each window between the benchmarks 2..10 that hold them; and
+        # the extension hull of [2, 10], one hop each side.
+        ours = df["oid"].isin([0, 1, 2])
+        bench = df["t"] % 2 == 0
+        interior = ours & (df["t"] % 2 == 1) & df["t"].between(2, 10)
+        hull = ours & df["t"].between(0, 12)
+        assert res.points_processed == bench.sum() + interior.sum() + hull.sum()
 
 
 @contextmanager
@@ -207,8 +193,9 @@ class TestHopStore:
 
 class TestRangeFilterOracle:
     def test_range_filter_matches_sql_range_join(self, spark):
-        """The extension store's collection is a Catalyst filter; its
-        result must equal the same ranges joined in SQL over DuckDB."""
+        """The pruned read of the hop-windows and of the extension store is
+        a Catalyst filter; its result must equal the same ranges joined in
+        SQL over DuckDB."""
         from repro.oracle import assert_equivalent
 
         df, _ = convoy_scene(

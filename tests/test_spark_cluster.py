@@ -52,8 +52,8 @@ class TestSnapshotClusters:
         df = scene_from_groups(groups, list(range(6)))
         sdf = spark.createDataFrame(df)
         out = snapshot_clusters(sdf, 3, EPS).toPandas()
-        assert set(out.t.unique()) == {0}
-        assert set(out.oid) == {0, 1, 2}
+        assert set(out.t) == {0}
+        assert [sorted(objs) for objs in out.objs] == [[0, 1, 2]]
 
     def test_min_size_enforced(self, spark):
         # DBSCAN minPts=3 clusters exist, but the (m,eps) filter also
@@ -61,28 +61,24 @@ class TestSnapshotClusters:
         groups = {0: [[0, 1]]}
         df = scene_from_groups(groups, list(range(4)))
         out = snapshot_clusters(spark.createDataFrame(df), 2, EPS).toPandas()
-        assert set(out.oid) == {0, 1}
+        assert [sorted(objs) for objs in out.objs] == [[0, 1]]
         out3 = snapshot_clusters(spark.createDataFrame(df), 3, EPS).toPandas()
         assert out3.empty
 
     def test_oracle_counts_per_snapshot(self, spark):
-        """Cluster membership rows keyed by t — row counts per t cross-
-        checked via the DuckDB oracle on an equivalent aggregate."""
+        """Cluster rows keyed by t — cluster members per t, aggregated by
+        Spark, cross-checked via the DuckDB oracle on the same aggregate."""
         from repro.oracle import assert_equivalent
 
         df, _ = convoy_scene(
             n_objects=30, n_timestamps=10, n_convoys=1, convoy_size=5,
             convoy_len=10, eps=10.0, seed=2,
         )
-        sdf = spark.createDataFrame(df)
-        clusters = snapshot_clusters(sdf, 3, 10.0).toPandas()
-        got = (
-            spark.createDataFrame(clusters)
-            .groupBy("t")
-            .agg(F.count("*").alias("n"))
-        )
+        clusters = snapshot_clusters(spark.createDataFrame(df), 3, 10.0)
+        got = clusters.groupBy("t").agg(F.sum(F.size("objs")).alias("n"))
+        members = clusters.toPandas().explode("objs")
         assert_equivalent(
-            got, "SELECT t, count(*) AS n FROM cl GROUP BY t", cl=clusters
+            got, "SELECT t, count(*) AS n FROM members GROUP BY t", members=members
         )
 
 
